@@ -11,6 +11,7 @@
 #   scripts/check.sh net                     # server-core suites only
 #   scripts/check.sh lsm                     # LSM engine suites only
 #   scripts/check.sh replica                 # replication suites only
+#   scripts/check.sh compress                # codec suites, ASan + UBSan
 #   scripts/check.sh analyze                 # static analysis + lint gate
 #
 # The chaos mode runs the seeded fault-injection soak (tests/chaos/, see
@@ -128,6 +129,27 @@ elif [[ "${1:-}" == "lsm" ]]; then
   echo "=== AddressSanitizer build ==="
   run_suite build-check-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DDSTORE_SANITIZE=address
+
+  echo "All checks passed."
+  exit 0
+elif [[ "${1:-}" == "compress" ]]; then
+  # Codec suites (tests labelled "compress"): CRC-32, bit I/O, Huffman,
+  # DEFLATE and gzip, including the golden-digest and hostile-input tests.
+  # The decoder's out-of-bounds and UB checks only bite under a sanitizer,
+  # so this runs Release + ASan + UBSan instead of Release + TSan.
+  shift
+  CTEST_ARGS=(-L compress "$@")
+
+  echo "=== Release build ==="
+  run_suite build-check-release -DCMAKE_BUILD_TYPE=Release
+
+  echo "=== AddressSanitizer build ==="
+  run_suite build-check-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DDSTORE_SANITIZE=address
+
+  echo "=== UndefinedBehaviorSanitizer build ==="
+  run_suite build-check-ubsan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DDSTORE_SANITIZE=undefined
 
   echo "All checks passed."
   exit 0

@@ -25,6 +25,13 @@ Bytes DeflateCompress(const Bytes& input,
 // size to defend against decompression bombs (0 means unlimited).
 StatusOr<Bytes> DeflateDecompress(const Bytes& input, size_t max_output = 0);
 
+// Decompresses the raw DEFLATE stream in data[0, size) into `*out`, which it
+// replaces (keeping its capacity, so a caller that knows the size can
+// reserve it). Fails with InvalidArgument as soon as the output would pass
+// `limit` bytes; there is no "unlimited" value, pass SIZE_MAX instead.
+Status DeflateDecompressInto(const uint8_t* data, size_t size, size_t limit,
+                             Bytes* out);
+
 }  // namespace dstore
 
 #endif  // DSTORE_COMPRESS_DEFLATE_H_

@@ -1,5 +1,8 @@
 #include "compress/gzip.h"
 
+#include <algorithm>
+#include <limits>
+
 #include "compress/crc32.h"
 
 namespace dstore {
@@ -8,6 +11,14 @@ namespace {
 constexpr uint8_t kGzipMagic1 = 0x1f;
 constexpr uint8_t kGzipMagic2 = 0x8b;
 constexpr uint8_t kMethodDeflate = 8;
+
+// DEFLATE expands at most 1032:1 (a 258-byte match coded in two bits).
+constexpr size_t kMaxInflateRatio = 1032;
+// ISIZE is the output size mod 2^32. A body shorter than this cannot
+// inflate to 4 GiB, so its ISIZE is the exact output size.
+constexpr size_t kExactIsizeBody = (uint64_t{1} << 32) / kMaxInflateRatio;
+// Cap on the output reserved up front, before the CRC vouches for ISIZE.
+constexpr size_t kMaxUpfrontReserve = size_t{64} << 20;
 }  // namespace
 
 Bytes GzipCompress(const Bytes& input, DeflateLevel level) {
@@ -59,13 +70,31 @@ StatusOr<Bytes> GzipDecompress(const Bytes& input, size_t max_output) {
     return Status::Corruption("gzip stream too short after header");
   }
 
-  const Bytes body(input.begin() + static_cast<ptrdiff_t>(pos),
-                   input.end() - 8);
-  DSTORE_ASSIGN_OR_RETURN(Bytes out, DeflateDecompress(body, max_output));
-
   const uint8_t* trailer = input.data() + input.size() - 8;
   const uint32_t expected_crc = DecodeFixed32(trailer);
   const uint32_t expected_size = DecodeFixed32(trailer + 4);
+
+  // Inflate the body where it lies. When ISIZE is exact it also bounds the
+  // output, so a corrupted body stops as soon as it inflates past it rather
+  // than running on until the trailer check.
+  const size_t body_size = input.size() - 8 - pos;
+  size_t limit =
+      max_output == 0 ? std::numeric_limits<size_t>::max() : max_output;
+  const bool isize_exact = body_size < kExactIsizeBody;
+  const bool isize_bounds = isize_exact && expected_size < limit;
+  Bytes out;
+  if (isize_exact) {
+    limit = std::min<size_t>(limit, expected_size);
+    out.reserve(std::min({size_t{expected_size}, body_size * kMaxInflateRatio,
+                          kMaxUpfrontReserve}));
+  }
+  const Status inflated =
+      DeflateDecompressInto(input.data() + pos, body_size, limit, &out);
+  if (isize_bounds && inflated.IsInvalidArgument()) {
+    return Status::Corruption("gzip body inflates past ISIZE");
+  }
+  DSTORE_RETURN_IF_ERROR(inflated);
+
   if (expected_size != static_cast<uint32_t>(out.size())) {
     return Status::Corruption("gzip ISIZE mismatch");
   }

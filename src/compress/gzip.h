@@ -14,7 +14,9 @@ Bytes GzipCompress(const Bytes& input,
                    DeflateLevel level = DeflateLevel::kDefault);
 
 // Decompresses a gzip stream, verifying the CRC-32 and ISIZE trailer.
-// `max_output` bounds the decompressed size (0 = unlimited).
+// `max_output` bounds the decompressed size (0 = unlimited). When the body
+// is too small for ISIZE (mod 2^32) to have wrapped, a body that inflates
+// past ISIZE fails with Corruption as soon as it does.
 StatusOr<Bytes> GzipDecompress(const Bytes& input, size_t max_output = 0);
 
 }  // namespace dstore

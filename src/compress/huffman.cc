@@ -2,65 +2,89 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 
 namespace dstore {
-
-namespace {
-
-struct Package {
-  uint64_t weight;
-  // Leaf symbols contained in this package (with multiplicity across merges).
-  std::vector<int> symbols;
-};
-
-bool WeightLess(const Package& a, const Package& b) {
-  return a.weight < b.weight;
-}
-
-}  // namespace
 
 std::vector<int> BuildHuffmanCodeLengths(const std::vector<uint64_t>& freqs,
                                          int max_bits) {
   const size_t n = freqs.size();
   std::vector<int> lengths(n, 0);
 
-  std::vector<Package> leaves;
+  // Leaves are used symbols sorted by weight. std::sort's order among equal
+  // weights is part of the output format (it decides which tied symbol gets
+  // the longer code), so the sort and the merge below must stay as they are.
+  std::vector<int> leaves;
   for (size_t i = 0; i < n; ++i) {
-    if (freqs[i] > 0) leaves.push_back({freqs[i], {static_cast<int>(i)}});
+    if (freqs[i] > 0) leaves.push_back(static_cast<int>(i));
   }
   if (leaves.empty()) return lengths;
   if (leaves.size() == 1) {
-    lengths[leaves[0].symbols[0]] = 1;
+    lengths[leaves[0]] = 1;
     return lengths;
   }
-  std::sort(leaves.begin(), leaves.end(), WeightLess);
+  std::sort(leaves.begin(), leaves.end(),
+            [&](int a, int b) { return freqs[a] < freqs[b]; });
+  const size_t num_leaves = leaves.size();
 
-  // Package-merge: run max_bits rounds; each round pairs up the current list
-  // and merges the pairs with the original leaves. After the final round the
-  // first 2*(num_leaves - 1) packages determine the code lengths: a symbol's
-  // length is the number of selected packages containing it.
-  std::vector<Package> current = leaves;
-  for (int level = 1; level < max_bits; ++level) {
-    std::vector<Package> paired;
-    for (size_t i = 0; i + 1 < current.size(); i += 2) {
-      Package merged;
-      merged.weight = current[i].weight + current[i + 1].weight;
-      merged.symbols = current[i].symbols;
-      merged.symbols.insert(merged.symbols.end(),
-                            current[i + 1].symbols.begin(),
-                            current[i + 1].symbols.end());
-      paired.push_back(std::move(merged));
+  // Package-merge: run max_bits - 1 rounds; each round pairs up the current
+  // list into packages and merges them with the original leaves (a package
+  // goes first on a tie). The first 2*(num_leaves - 1) items of the last list
+  // are selected, and a symbol's code length is the number of selected
+  // items, expanded through their packages, that contain it.
+  //
+  // Items are never materialised: each round keeps only the weights and
+  // records, per position, whether the item is a leaf. A selected prefix of
+  // a list holds the lightest k leaves plus m packages, and those m packages
+  // expand to the first 2m items of the list before it. So the lengths
+  // follow from one backward walk over the per-round leaf flags: each round
+  // adds 1 to the k lightest leaves of its selected prefix.
+  std::vector<uint64_t> leaf_weight(num_leaves);
+  for (size_t i = 0; i < num_leaves; ++i) leaf_weight[i] = freqs[leaves[i]];
+  // A round's list holds fewer than 2 * num_leaves items.
+  const size_t stride = 2 * num_leaves;
+  std::vector<uint64_t> current(stride);
+  std::vector<uint64_t> next(stride);
+  std::copy(leaf_weight.begin(), leaf_weight.end(), current.begin());
+  // is_leaf[r * stride + j]: item j of round r's list is a leaf.
+  std::vector<uint8_t> is_leaf(stride * static_cast<size_t>(max_bits), 1);
+  size_t current_size = num_leaves;
+  for (int round = 1; round < max_bits; ++round) {
+    const size_t packages = current_size / 2;
+    uint8_t* flags = &is_leaf[static_cast<size_t>(round) * stride];
+    size_t p = 0;
+    size_t l = 0;
+    size_t k = 0;
+    // std::merge(packages, leaves): take the leaf only if strictly lighter.
+    // Written branch-free; which side wins is data-dependent.
+    while (p < packages && l < num_leaves) {
+      const uint64_t package = current[2 * p] + current[2 * p + 1];
+      const uint64_t leaf = leaf_weight[l];
+      const bool take_leaf = leaf < package;
+      flags[k] = take_leaf;
+      next[k++] = take_leaf ? leaf : package;
+      l += take_leaf;
+      p += !take_leaf;
     }
-    std::vector<Package> next;
-    next.reserve(paired.size() + leaves.size());
-    std::merge(paired.begin(), paired.end(), leaves.begin(), leaves.end(),
-               std::back_inserter(next), WeightLess);
-    current = std::move(next);
+    for (; p < packages; ++p) {
+      flags[k] = 0;
+      next[k++] = current[2 * p] + current[2 * p + 1];
+    }
+    for (; l < num_leaves; ++l) {
+      flags[k] = 1;
+      next[k++] = leaf_weight[l];
+    }
+    current_size = k;
+    current.swap(next);
   }
 
-  const size_t take = 2 * (leaves.size() - 1);
-  for (size_t i = 0; i < take && i < current.size(); ++i) {
-    for (int sym : current[i].symbols) ++lengths[sym];
+  size_t take = std::min(2 * (num_leaves - 1), current_size);
+  for (int round = max_bits - 1; round >= 0 && take > 0; --round) {
+    const uint8_t* flags = &is_leaf[static_cast<size_t>(round) * stride];
+    const size_t leaf_count =
+        std::accumulate(flags, flags + take, size_t{0});
+    for (size_t i = 0; i < leaf_count; ++i) ++lengths[leaves[i]];
+    take = 2 * (take - leaf_count);
   }
   return lengths;
 }
@@ -88,11 +112,21 @@ std::vector<uint32_t> BuildCanonicalCodes(const std::vector<int>& lengths) {
   return codes;
 }
 
+uint32_t ReverseBits(uint32_t code, int length) {
+  uint32_t reversed = 0;
+  for (int i = 0; i < length; ++i) {
+    reversed = (reversed << 1) | ((code >> i) & 1);
+  }
+  return reversed;
+}
+
 StatusOr<HuffmanDecoder> HuffmanDecoder::Build(const std::vector<int>& lengths) {
+  if (lengths.size() > (1u << 12)) {
+    return Status::InvalidArgument("Huffman alphabet too large");
+  }
   HuffmanDecoder decoder;
   int total = 0;
-  for (size_t i = 0; i < lengths.size(); ++i) {
-    const int l = lengths[i];
+  for (const int l : lengths) {
     if (l < 0 || l > kMaxBits) {
       return Status::Corruption("Huffman code length out of range");
     }
@@ -100,8 +134,6 @@ StatusOr<HuffmanDecoder> HuffmanDecoder::Build(const std::vector<int>& lengths) 
       ++decoder.count_[l];
       ++total;
       decoder.max_length_ = std::max(decoder.max_length_, l);
-      decoder.min_length_ =
-          decoder.min_length_ == 0 ? l : std::min(decoder.min_length_, l);
     }
   }
   if (total == 0) {
@@ -121,37 +153,63 @@ StatusOr<HuffmanDecoder> HuffmanDecoder::Build(const std::vector<int>& lengths) 
 
   uint32_t code = 0;
   int index = 0;
+  uint32_t next_code[kMaxBits + 1] = {};
   for (int l = 1; l <= kMaxBits; ++l) {
-    code = (code + static_cast<uint32_t>(decoder.count_[l - 1])) << 1;
+    code = (code + decoder.count_[l - 1]) << 1;
     decoder.first_code_[l] = code;
+    next_code[l] = code;
     decoder.first_index_[l] = index;
-    index += decoder.count_[l];
+    index += static_cast<int>(decoder.count_[l]);
   }
 
+  // One table slot per value of the next table_bits_ stream bits. A code of
+  // length l <= table_bits_ owns every slot whose low l bits are its
+  // reversed code; slots no short code owns stay 0 and take the slow path.
+  decoder.table_bits_ = std::min(decoder.max_length_, kTableBits);
+  decoder.table_mask_ = (1ull << decoder.table_bits_) - 1;
+  decoder.table_.assign(size_t{1} << decoder.table_bits_, 0);
   // sorted_symbols_: symbols ordered by (length, symbol) — canonical order.
-  decoder.sorted_symbols_.resize(total);
-  std::vector<int> fill = std::vector<int>(kMaxBits + 1, 0);
-  for (int l = 1; l <= kMaxBits; ++l) fill[l] = decoder.first_index_[l];
-  for (size_t i = 0; i < lengths.size(); ++i) {
-    if (lengths[i] > 0) {
-      decoder.sorted_symbols_[fill[lengths[i]]++] = static_cast<int>(i);
+  decoder.sorted_symbols_.resize(static_cast<size_t>(total));
+  int fill[kMaxBits + 1] = {};
+  std::copy(decoder.first_index_, decoder.first_index_ + kMaxBits + 1, fill);
+  for (size_t symbol = 0; symbol < lengths.size(); ++symbol) {
+    const int l = lengths[symbol];
+    if (l == 0) continue;
+    decoder.sorted_symbols_[fill[l]++] = static_cast<uint16_t>(symbol);
+    if (l > decoder.table_bits_) continue;
+    const uint16_t entry = static_cast<uint16_t>((symbol << 4) | l);
+    for (size_t slot = ReverseBits(next_code[l]++, l);
+         slot < decoder.table_.size(); slot += size_t{1} << l) {
+      decoder.table_[slot] = entry;
     }
   }
   return decoder;
 }
 
-StatusOr<int> HuffmanDecoder::Decode(BitReader* reader) const {
+int HuffmanDecoder::DecodeSlow(BitReader* reader) const {
+  // Codes of up to table_bits_ bits are all in the table, so only longer
+  // lengths are left to try, one bit at a time in canonical order.
+  const uint64_t bits = reader->PeekBits();
   uint32_t code = 0;
   for (int length = 1; length <= max_length_; ++length) {
-    DSTORE_ASSIGN_OR_RETURN(uint32_t bit, reader->ReadBits(1));
-    code = (code << 1) | bit;
-    if (length < min_length_) continue;
-    const uint32_t first = first_code_[length];
-    if (code >= first && code < first + static_cast<uint32_t>(count_[length])) {
-      return sorted_symbols_[first_index_[length] + (code - first)];
+    code = (code << 1) | static_cast<uint32_t>((bits >> (length - 1)) & 1);
+    if (length <= table_bits_) continue;
+    if (length > reader->BitsAvailable()) return kEndOfInput;
+    const uint32_t offset = code - first_code_[length];
+    if (offset < count_[length]) {
+      reader->Consume(length);
+      return sorted_symbols_[static_cast<size_t>(first_index_[length]) +
+                             offset];
     }
   }
-  return Status::Corruption("invalid Huffman code in stream");
+  // No code matches. If the lookup ran into bits past the end of the input
+  // the stream was cut short rather than corrupt.
+  const uint16_t entry = table_[bits & table_mask_];
+  if ((entry & 0xf) > reader->BitsAvailable() ||
+      table_bits_ > reader->BitsAvailable()) {
+    return kEndOfInput;
+  }
+  return kInvalidCode;
 }
 
 }  // namespace dstore

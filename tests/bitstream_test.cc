@@ -53,18 +53,6 @@ TEST(BitstreamTest, ZeroBitReadAndWrite) {
   EXPECT_EQ(*reader.ReadBits(3), 0x7u);
 }
 
-TEST(BitstreamTest, HuffmanCodeIsBitReversed) {
-  Bytes buf;
-  BitWriter writer(&buf);
-  // Code 0b110 of length 3 must be emitted MSB-first: 1,1,0.
-  writer.WriteHuffmanCode(0b110, 3);
-  writer.Finish();
-  BitReader reader(buf);
-  EXPECT_EQ(*reader.ReadBits(1), 1u);
-  EXPECT_EQ(*reader.ReadBits(1), 1u);
-  EXPECT_EQ(*reader.ReadBits(1), 0u);
-}
-
 TEST(BitstreamTest, AlignThenBytes) {
   Bytes buf;
   BitWriter writer(&buf);
@@ -84,6 +72,37 @@ TEST(BitstreamTest, AlignThenBytes) {
   EXPECT_EQ(out[1], 0xad);
   EXPECT_EQ(out[2], 0xbe);
   EXPECT_TRUE(reader.AtEnd());
+}
+
+TEST(BitstreamTest, AlignedBytesSpanLookaheadAndInput) {
+  // 20 bytes: the first refill buffers 7 whole bytes past the 3 bits read,
+  // so ReadBytes must drain the buffer before copying from the input.
+  Bytes buf;
+  for (int i = 0; i < 20; ++i) buf.push_back(static_cast<uint8_t>(i * 17));
+  BitReader reader(buf);
+  EXPECT_EQ(*reader.ReadBits(3), buf[0] & 7u);
+  reader.AlignToByte();
+  uint8_t out[12];
+  ASSERT_TRUE(reader.ReadBytes(out, 12).ok());
+  for (int i = 0; i < 12; ++i) EXPECT_EQ(out[i], buf[1 + i]) << i;
+  // Bits after the copied bytes come from the right place.
+  EXPECT_EQ(*reader.ReadBits(8), buf[13]);
+  EXPECT_EQ(*reader.ReadBits(16), buf[14] | (buf[15] << 8));
+  uint8_t rest[4];
+  ASSERT_TRUE(reader.ReadBytes(rest, 4).ok());
+  EXPECT_EQ(rest[3], buf[19]);
+  EXPECT_TRUE(reader.AtEnd());
+}
+
+TEST(BitstreamTest, PeekPastEndReadsZero) {
+  Bytes buf = {0xff, 0x01};
+  BitReader reader(buf);
+  reader.Refill();
+  EXPECT_EQ(reader.BitsAvailable(), 16);
+  EXPECT_EQ(reader.PeekBits(), 0x01ffu);
+  reader.Consume(12);
+  EXPECT_EQ(reader.BitsAvailable(), 4);
+  EXPECT_EQ(reader.PeekBits(), 0x0u);
 }
 
 TEST(BitstreamTest, ReadPastEndFails) {

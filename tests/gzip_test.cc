@@ -1,5 +1,9 @@
 #include "compress/gzip.h"
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/random.h"
@@ -133,6 +137,83 @@ TEST(GzipCodecTest, CompressionRatioTracksRedundancy) {
   const size_t small = codec.Compress(redundant)->size();
   const size_t large = codec.Compress(random_data)->size();
   EXPECT_LT(small, large / 2);
+}
+
+// A corrupted object must not inflate far past what its trailer promises:
+// with a small body ISIZE is exact, so decoding stops as soon as the output
+// passes it instead of running to the end and failing the ISIZE check.
+TEST(GzipTest, InflatingPastIsizeStopsWithCorruption) {
+  Bytes out = GzipCompress(Bytes(1 << 20, 'a'));
+  ASSERT_LT(out.size(), 4096u);
+  const size_t isize_at = out.size() - 4;
+  out[isize_at] = 100;
+  out[isize_at + 1] = out[isize_at + 2] = out[isize_at + 3] = 0;
+  const Status status = GzipDecompress(out).status();
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+  EXPECT_NE(status.message().find("past ISIZE"), std::string::npos)
+      << status.ToString();
+  // A caller limit below ISIZE still reports the caller's limit.
+  EXPECT_TRUE(GzipDecompress(out, 50).status().IsInvalidArgument());
+}
+
+TEST(GzipTest, IsizeLargerThanOutputRejected) {
+  const Bytes input = ToBytes("short payload short payload");
+  Bytes out = GzipCompress(input);
+  out[out.size() - 4] = static_cast<uint8_t>(input.size() + 1);
+  EXPECT_TRUE(GzipDecompress(out).status().IsCorruption());
+}
+
+std::vector<std::pair<Bytes, Bytes>> GzipCorpus() {
+  Random rng(1952);
+  std::vector<std::pair<Bytes, Bytes>> corpus;
+  for (const Bytes& input :
+       {ToBytes("tiny tiny tiny"), rng.CompressibleBytes(2500, 0.5),
+        rng.CompressibleBytes(4000, 0.95), rng.RandomBytes(1500)}) {
+    corpus.emplace_back(input, GzipCompress(input));
+  }
+  return corpus;
+}
+
+// The CRC-32 and ISIZE make gzip self-checking: a damaged stream either
+// fails or (if only ignored header bits changed) yields the original bytes.
+TEST(GzipHostileTest, BitFlipsFailOrReturnTheOriginal) {
+  Random rng(7);
+  for (const auto& [input, stream] : GzipCorpus()) {
+    for (int trial = 0; trial < 300; ++trial) {
+      Bytes mutated = stream;
+      const int flips =
+          trial % 2 == 0 ? 1 : 2 + static_cast<int>(rng.Uniform(7));
+      for (int i = 0; i < flips; ++i) {
+        const size_t bit = rng.Uniform(mutated.size() * 8);
+        mutated[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      }
+      auto out = GzipDecompress(mutated);
+      if (out.ok()) {
+        EXPECT_EQ(*out, input) << "trial " << trial;
+      }
+    }
+  }
+}
+
+TEST(GzipHostileTest, TruncationAtEveryByteRejected) {
+  for (const auto& [input, stream] : GzipCorpus()) {
+    for (size_t len = 0; len < stream.size(); ++len) {
+      const Bytes cut(stream.begin(), stream.begin() + len);
+      EXPECT_FALSE(GzipDecompress(cut).ok()) << "cut at " << len;
+    }
+  }
+}
+
+TEST(GzipHostileTest, ForgedHeaderFieldsStayInBounds) {
+  const Bytes stream = GzipCompress(ToBytes("header fields"));
+  Random rng(11);
+  for (int trial = 0; trial < 200; ++trial) {
+    Bytes mutated = stream;
+    mutated[3] = static_cast<uint8_t>(rng.Uniform(256));  // FLG
+    mutated[10] = static_cast<uint8_t>(rng.Uniform(256));  // XLEN / name
+    mutated[11] = static_cast<uint8_t>(rng.Uniform(256));
+    (void)GzipDecompress(mutated);
+  }
 }
 
 }  // namespace
