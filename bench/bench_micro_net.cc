@@ -179,24 +179,20 @@ BENCHMARK(BM_HttpRoundTrip)->Arg(16)->Arg(100000);
 
 // The server-core capacity story (docs/udsm_guide.md §11): tail latency
 // with N live connections on one server and a burst of them concurrently
-// active. The threaded core pays a kernel thread per connection, so every
-// burst is a pile of thread wakeups fighting the scheduler; the reactor
-// multiplexes all N connections onto two I/O threads and must hold 10x the
-// connections at equal-or-better tail latency. Each iteration writes one
-// frame on `kBurst` consecutive connections (rotating through all N so
+// active. The reactor multiplexes all N connections onto two I/O threads
+// and must hold 10x the connections of the retired thread-per-connection
+// core's baseline at equal-or-better tail latency. Each iteration writes
+// one frame on `kBurst` consecutive connections (rotating through all N so
 // every connection carries traffic) and then reads the `kBurst` responses.
-// Args: {async core?, connection count}. Iterations are fixed so each row
-// runs its setup (N connects) once; the p99 over per-request wall samples
-// lands in the p99_us counter, which scripts/bench_snapshot.sh compares
-// across rows into BENCH_net.json.
+// Arg: connection count. Iterations are fixed so each row runs its setup
+// (N connects) once; the p99 over per-request wall samples lands in the
+// p99_us counter, which scripts/bench_snapshot.sh compares against the
+// recorded baseline into BENCH_net.json.
 void BM_ConcurrentConnections(benchmark::State& state) {
-  const bool async_core = state.range(0) != 0;
-  const int conns = static_cast<int>(state.range(1));
+  const int conns = static_cast<int>(state.range(0));
   constexpr size_t kBurst = 64;  // concurrently in-flight requests
-  AsyncServerOptions options;
-  options.core = async_core ? ServerCore::kAsync : ServerCore::kThreaded;
-  auto server = MakeFramedServer(
-      [](const Bytes& request) { return request; }, std::move(options));
+  auto server =
+      MakeFramedServer([](const Bytes& request) { return request; });
   if (!server->Start(0).ok()) {
     state.SkipWithError("server start failed");
     return;
@@ -245,7 +241,6 @@ void BM_ConcurrentConnections(benchmark::State& state) {
                              samples.size()) * 0.99))];
   }
   state.counters["connections"] = conns;
-  state.SetLabel(async_core ? "async" : "threaded");
   sockets.clear();
   server->Stop();
 }
@@ -253,9 +248,8 @@ void BM_ConcurrentConnections(benchmark::State& state) {
 // p99 estimate hostage to a rare scheduler stall, so the headline the
 // snapshot script reads is the median p99 across repetitions.
 BENCHMARK(BM_ConcurrentConnections)
-    ->Args({0, 100})    // threaded core at its comfortable scale
-    ->Args({1, 100})    // async core, same scale
-    ->Args({1, 1000})   // async core, 10x the connections
+    ->Arg(100)   // the baseline's scale
+    ->Arg(1000)  // 10x the connections
     ->Iterations(2000)
     ->Repetitions(5)
     ->ReportAggregatesOnly(true)

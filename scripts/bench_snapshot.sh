@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Seeds the bench trajectory: builds the microbenchmarks in Release, runs
 # bench_micro_stores (store substrate), bench_micro_admit (admission
-# layer), bench_micro_obs (tracing), bench_micro_net (server cores), and
+# layer), bench_micro_obs (tracing), bench_micro_net (server core), and
 # bench_micro_lsm (the LSM engine vs FileStore), and bench_micro_replica
 # (the replication layer), and writes machine-readable BENCH_admit.json,
 # BENCH_obs.json, BENCH_net.json, BENCH_lsm.json, and BENCH_replica.json
@@ -17,8 +17,9 @@
 # BM_ObsFileReadOverhead no-spans/disabled/always-on rows, contract ≤2%
 # for the disabled regime — docs/testing.md, "Observability"), the
 # server-core capacity headline (BM_ConcurrentConnections: the async
-# reactor must hold ≥10x the threaded core's connection count at
-# equal-or-better p99 — docs/udsm_guide.md §11), and the LSM engine
+# reactor must hold ≥10x the connection count of the retired
+# thread-per-connection core's recorded baseline at equal-or-better p99 —
+# docs/udsm_guide.md §11), and the LSM engine
 # headlines (BM_RandomWrite buffered rows: random-write throughput ≥5x
 # FileStore at equal value sizes; BM_RandomRead: post-compaction read p99
 # ≤2x FileStore — docs/udsm_guide.md §12). The build tree lands in
@@ -135,11 +136,11 @@ if disabled_pct > 2.0:
     print("WARNING: disabled-tracing overhead exceeds the 2% budget")
 print("wrote BENCH_obs.json")
 
-def capacity_row(doc, core_arg, conns):
+def capacity_row(doc, conns):
     # The capacity rows report aggregates over repetitions; the median p99
     # is the headline (a lone p99 on a small box is hostage to one
     # scheduler stall). Falls back to a plain row if repetitions change.
-    prefix = f"BM_ConcurrentConnections/{core_arg}/{conns}/"
+    prefix = f"BM_ConcurrentConnections/{conns}/"
     plain = None
     for b in doc["benchmarks"]:
         if not b["name"].startswith(prefix):
@@ -152,13 +153,19 @@ def capacity_row(doc, core_arg, conns):
         return plain
     raise KeyError(prefix)
 
-threaded = capacity_row(net, 0, 100)
-async_same = capacity_row(net, 1, 100)
-async_10x = capacity_row(net, 1, 1000)
-threaded_conns = threaded["connections"]
+# Baseline of the retired thread-per-connection core, kept as a constant
+# now that the core is gone: BM_ConcurrentConnections at 100 connections,
+# median p99 over 5 repetitions, Release, 1 CPU at 2.1 GHz (BENCH_net.json
+# of 2026-08-08).
+THREADED_BASELINE_CONNECTIONS = 100
+THREADED_BASELINE_P99_US = 27.38
+
+async_same = capacity_row(net, 100)
+async_10x = capacity_row(net, 1000)
+threaded_conns = THREADED_BASELINE_CONNECTIONS
 async_conns = async_10x["connections"]
 ratio = async_conns / threaded_conns
-threaded_p99 = threaded["p99_us"]
+threaded_p99 = THREADED_BASELINE_P99_US
 async_p99 = async_10x["p99_us"]
 
 net_snapshot = {
@@ -171,7 +178,7 @@ net_snapshot = {
         "async_p99_us": round(async_p99, 2),
         "capacity_ratio": round(ratio, 1),
         "capacity_ratio_floor": 10.0,
-        "p99_contract": "async p99 at 10x connections <= threaded p99",
+        "p99_contract": "async p99 at 10x connections <= threaded baseline p99",
     },
     "bench_micro_net": rows(net),
 }
@@ -180,12 +187,13 @@ with open("BENCH_net.json", "w") as f:
     f.write("\n")
 
 print(f"server-core capacity: async {async_conns:.0f} conns "
-      f"p99 {async_p99:.1f}us vs threaded {threaded_conns:.0f} conns "
-      f"p99 {threaded_p99:.1f}us ({ratio:.0f}x, floor 10x)")
+      f"p99 {async_p99:.1f}us vs threaded baseline {threaded_conns:.0f} "
+      f"conns p99 {threaded_p99:.1f}us ({ratio:.0f}x, floor 10x)")
 if ratio < 10.0:
     print("WARNING: async connection count below the 10x capacity floor")
 if async_p99 > threaded_p99:
-    print("WARNING: async p99 at 10x connections exceeds the threaded p99")
+    print("WARNING: async p99 at 10x connections exceeds the threaded "
+          "baseline p99")
 print("wrote BENCH_net.json")
 
 def lsm_row(name):

@@ -105,10 +105,10 @@ elif [[ "${1:-}" == "admit" ]]; then
 elif [[ "${1:-}" == "net" ]]; then
   # Server-core suites (tests labelled "net"): the socket/framing/HTTP
   # units, the async-core family (reactor, pipelining, backpressure,
-  # fault-injection, threaded fallback — tests/net_async_test.cc), plus
-  # the overload and tracing e2e suites that now run against the async
-  # core — in Release and TSan (the reactor's connection state is touched
-  # from I/O threads, worker threads, and Stop()).
+  # fault-injection — tests/net_async_test.cc), plus the overload and
+  # tracing e2e suites that run against the async core — in Release and
+  # TSan (the reactor's connection state is touched from I/O threads,
+  # worker threads, and Stop()).
   shift
   CTEST_ARGS=(-L net "$@")
 elif [[ "${1:-}" == "lsm" ]]; then
@@ -118,10 +118,12 @@ elif [[ "${1:-}" == "lsm" ]]; then
   # the engine's crash/recovery cycles churn file buffers, readers, and
   # block-cache entries, which is exactly the lifetime territory ASan
   # polices (TSan still covers the store via the chaos and full modes).
+  # Each test runs up to three times and fails on the first failure, so a
+  # racy durability check surfaces here instead of hiding behind ctest -j.
   shift
   export DSTORE_CHAOS_SEEDS="${DSTORE_CHAOS_SEEDS:-1,7,1337}"
   echo "chaos seed matrix: ${DSTORE_CHAOS_SEEDS}"
-  CTEST_ARGS=(-L lsm "$@")
+  CTEST_ARGS=(-L lsm --repeat until-fail:3 "$@")
 
   echo "=== Release build ==="
   run_suite build-check-release -DCMAKE_BUILD_TYPE=Release

@@ -11,9 +11,7 @@
 namespace dstore {
 
 // KeyValueStore decorator that injects faults from a FaultPlan around every
-// operation — the store-layer injection surface of src/fault/ and the
-// replacement for the old ad-hoc FlakyStore (which survives in
-// store/resilient_store.h as a thin alias over this class).
+// operation — the store-layer injection surface of src/fault/.
 //
 // Per operation the plan is consulted at (site, op) with op one of put, get,
 // delete, contains, listkeys, count, clear, getifchanged, multiget,

@@ -8,33 +8,21 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <map>
-#include <string_view>
 #include <utility>
 #include <vector>
 
-#include "common/clock.h"
 #include "common/listenable_future.h"
 #include "common/sync.h"
 #include "common/thread_pool.h"
 #include "fault/fault.h"
 #include "net/framing.h"
 #include "net/reactor.h"
-#include "net/server.h"
 #include "net/socket.h"
 #include "obs/metrics.h"
 
 namespace dstore {
-
-ServerCore DefaultServerCore() {
-  const char* env = std::getenv("DSTORE_SERVER_CORE");
-  if (env != nullptr && std::string_view(env) == "threaded") {
-    return ServerCore::kThreaded;
-  }
-  return ServerCore::kAsync;
-}
 
 namespace {
 
@@ -105,27 +93,18 @@ Parser MakeFramedParser(FramedHandler handler) {
 // ---------------------------------------------------------------------------
 // Descriptor I/O. ReadChunk/WriteChunk are pure nonblocking syscall loops —
 // safe on a reactor loop thread. Fault-injector consultation lives in the
-// callers: the async Connection consults in its locked read/flush paths and
+// callers: the Connection consults in its locked read/flush paths and
 // defers injected stalls through Reactor::RunAfter (a loop thread must
 // never sleep — the watchdog and the blocking-context check both police
-// this), while the threaded fallback consults inline and may legally sleep
-// on its per-connection thread. Injected resets become shutdown(), which
-// puts the same FIN on the wire as the blocking path's close(), because the
-// Connection owns its descriptor until the last reference drops (the
-// fd-reuse guarantee).
+// this). Injected resets become shutdown(), which puts the same FIN on the
+// wire as the blocking path's close(), because the Connection owns its
+// descriptor until the last reference drops (the fd-reuse guarantee).
 // ---------------------------------------------------------------------------
 
 struct IoResult {
   enum Kind { kOk, kEof, kWouldBlock, kError } kind = kOk;
   size_t n = 0;  // bytes transferred (writes may move bytes before kError)
 };
-
-// Applies an injected stall by sleeping. Only the threaded core (own thread
-// per connection) may call this; the async core turns stalls into reactor
-// timers instead.
-void Stall(const fault::SocketFault& f) DSTORE_BLOCKING {
-  if (f.stall_nanos > 0) RealClock::Default()->SleepFor(f.stall_nanos);
-}
 
 IoResult ReadChunk(int fd, uint8_t* buf, size_t cap) {
   for (;;) {
@@ -182,8 +161,7 @@ Status SetNonBlocking(int fd) {
   return Status::OK();
 }
 
-// Shared metrics bundle (same names and labels as ThreadedServer publishes,
-// so dashboards and tests are core-agnostic).
+// Per-server metrics bundle, labelled server=<component>.
 struct ServerMetrics {
   obs::Counter* connections_total = nullptr;
   obs::Gauge* active_connections = nullptr;
@@ -267,7 +245,7 @@ class AsyncServer : public Server {
 // completion against a parse — negligible). The descriptor is closed only
 // by the destructor: any late completion still holding a shared_ptr keeps
 // the fd number reserved, so a freshly accepted connection can never be
-// aliased by a stale writer (the fd-reuse race ThreadedServer documents).
+// aliased by a stale writer.
 class AsyncServer::Connection
     : public std::enable_shared_from_this<AsyncServer::Connection> {
  public:
@@ -836,100 +814,18 @@ void AsyncServer::EraseConnection(uint64_t id) {
   // closes when the last reference drops.
 }
 
-// ---------------------------------------------------------------------------
-// Threaded fallback: the same codec and handlers served by the seed's
-// thread-per-connection core. Kept for one transition PR so the net test
-// family can pin both engines to identical observable behavior
-// (DSTORE_SERVER_CORE=threaded selects it process-wide).
-// ---------------------------------------------------------------------------
-
-class ThreadedCoreServer : public Server {
- public:
-  ThreadedCoreServer(Parser parser, AsyncServerOptions options)
-      : parser_(std::move(parser)) {
-    server_ = std::make_unique<ThreadedServer>(
-        [this](Socket socket) { Serve(std::move(socket)); },
-        options.component);
-    if (options.max_connections > 0) {
-      server_->SetConnectionLimit(options.max_connections);
-    }
-  }
-
-  ~ThreadedCoreServer() override { Stop(); }
-
-  Status Start(uint16_t port) override { return server_->Start(port); }
-  void Stop() override { server_->Stop(); }
-  bool running() const override { return server_->running(); }
-  uint16_t port() const override { return server_->port(); }
-  size_t ConnectionCount() const override {
-    return server_->ActiveConnectionCount();
-  }
-  size_t PausedConnectionCount() const override { return 0; }
-
- private:
-  void Serve(Socket socket) {
-    Bytes inbuf;
-    size_t pos = 0;
-    for (;;) {
-      size_t consumed = 0;
-      RequestTask task;
-      const ParseOutcome outcome =
-          parser_(inbuf.data() + pos, inbuf.size() - pos, &consumed, &task);
-      if (outcome == ParseOutcome::kError) return;
-      if (outcome == ParseOutcome::kParsed) {
-        pos += consumed;
-        if (pos == inbuf.size() || pos >= (1u << 20)) {
-          inbuf.erase(inbuf.begin(), inbuf.begin() + static_cast<ptrdiff_t>(pos));
-          pos = 0;
-        }
-        // One request at a time, handler inline on the connection thread —
-        // the seed behavior (a pipelined burst is still answered in order,
-        // just without overlap).
-        const Bytes response = task();
-        if (!socket.WriteFull(response).ok()) return;
-        continue;
-      }
-      uint8_t chunk[16384];
-      // Consult the injector inline: this is the connection's own thread,
-      // so an injected stall may legally sleep right here (the async core
-      // defers the same stall through a reactor timer instead).
-      if (auto injector = fault::InstalledSocketFaultInjector()) {
-        if (auto f = injector->OnRead(sizeof(chunk))) {
-          Stall(*f);
-          if (!f->error.ok()) {
-            if (f->reset) ::shutdown(socket.fd(), SHUT_RDWR);
-            return;
-          }
-        }
-      }
-      const IoResult r = ReadChunk(socket.fd(), chunk, sizeof(chunk));
-      if (r.kind != IoResult::kOk) return;  // EOF, error, or injected reset
-      inbuf.insert(inbuf.end(), chunk, chunk + r.n);
-    }
-  }
-
-  Parser parser_;
-  std::unique_ptr<ThreadedServer> server_;
-};
-
-std::unique_ptr<Server> MakeServer(Parser parser, AsyncServerOptions options) {
-  if (options.core == ServerCore::kThreaded) {
-    return std::make_unique<ThreadedCoreServer>(std::move(parser),
-                                                std::move(options));
-  }
-  return std::make_unique<AsyncServer>(std::move(parser), std::move(options));
-}
-
 }  // namespace
 
 std::unique_ptr<Server> MakeHttpServer(HttpHandler handler,
                                        AsyncServerOptions options) {
-  return MakeServer(MakeHttpParser(std::move(handler)), std::move(options));
+  return std::make_unique<AsyncServer>(MakeHttpParser(std::move(handler)),
+                                       std::move(options));
 }
 
 std::unique_ptr<Server> MakeFramedServer(FramedHandler handler,
                                          AsyncServerOptions options) {
-  return MakeServer(MakeFramedParser(std::move(handler)), std::move(options));
+  return std::make_unique<AsyncServer>(MakeFramedParser(std::move(handler)),
+                                       std::move(options));
 }
 
 }  // namespace dstore

@@ -12,15 +12,15 @@
 
 namespace dstore {
 
-// The event-driven server core that replaces thread-per-connection
-// ThreadedServer for the cloud, cache, and SQL servers. A small pool of
-// reactor I/O threads (net/reactor.h) multiplexes thousands of connections
-// with edge-triggered epoll; parsed requests are dispatched onto a
-// ListenableFuture worker pool so a slow handler (queue wait, simulated WAN
-// delay, SQL execution) never blocks an I/O thread; responses to pipelined
-// requests on one connection are written strictly in request order.
+// The event-driven server core behind the cloud, cache, and SQL servers. A
+// small pool of reactor I/O threads (net/reactor.h) multiplexes thousands of
+// connections with edge-triggered epoll; parsed requests are dispatched onto
+// a ListenableFuture worker pool so a slow handler (queue wait, simulated
+// WAN delay, SQL execution) never blocks an I/O thread; responses to
+// pipelined requests on one connection are written strictly in request
+// order.
 //
-// Behavioral contracts preserved from the threaded core:
+// Behavioral contracts:
 //  - the socket fault injector fires on accept/read/write (refusals,
 //    mid-message resets, short writes, stalls);
 //  - handlers run with whatever ambient state they establish themselves
@@ -38,15 +38,6 @@ using HttpHandler = std::function<HttpResponse(const HttpRequest&)>;
 // Handles one length-prefixed frame payload (see net/framing.h); runs on a
 // worker thread and returns the response payload.
 using FramedHandler = std::function<Bytes(const Bytes&)>;
-
-// Transport engine behind a server. The threaded core remains available as
-// a test-only fallback for this transition (net/server.h) and is exercised
-// by the net test family to pin down shared behavior.
-enum class ServerCore { kAsync, kThreaded };
-
-// kAsync unless the environment says otherwise (DSTORE_SERVER_CORE=threaded
-// — an escape hatch while the async core beds in).
-ServerCore DefaultServerCore();
 
 struct AsyncServerOptions {
   // Metrics label; empty = metrics not published.
@@ -69,12 +60,10 @@ struct AsyncServerOptions {
   // Live-connection cap; beyond it fresh accepts are counted in
   // dstore_admit_conn_shed_total and closed. 0 = unlimited.
   int max_connections = 0;
-  // Which engine serves the traffic.
-  ServerCore core = DefaultServerCore();
 };
 
-// Minimal lifecycle interface shared by both cores, so a server class holds
-// one pointer regardless of engine.
+// Lifecycle handle for a running server; hides the reactor and the protocol
+// parser behind it.
 class Server {
  public:
   virtual ~Server() = default;
@@ -89,8 +78,7 @@ class Server {
   virtual uint16_t port() const = 0;
 
   // Introspection for the backpressure tests: connections currently
-  // registered / reads currently paused by per-connection limits. The
-  // threaded core reports {active connections, 0}.
+  // registered / reads currently paused by per-connection limits.
   virtual size_t ConnectionCount() const = 0;
   virtual size_t PausedConnectionCount() const = 0;
 };

@@ -58,8 +58,8 @@ class Socket {
 };
 
 // RAII listening socket bound to 127.0.0.1. Close() may be called from a
-// different thread than Accept() (that is how ThreadedServer::Stop unblocks
-// the accept loop), so the descriptor is atomic.
+// different thread than Accept() or fd() (AsyncServer::Stop closes it while
+// a reactor thread may still be accepting), so the descriptor is atomic.
 class ServerSocket {
  public:
   ServerSocket() : fd_(-1), port_(0) {}

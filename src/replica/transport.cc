@@ -3,28 +3,11 @@
 namespace dstore {
 namespace replica {
 
-namespace {
-constexpr char kFencedPrefix[] = "fenced:";
-}  // namespace
-
-Status FencedStatus(uint64_t entry_epoch, uint64_t accepted_epoch) {
-  return Status::Unavailable(std::string(kFencedPrefix) + " write epoch " +
-                             std::to_string(entry_epoch) +
-                             " superseded by epoch " +
-                             std::to_string(accepted_epoch));
-}
-
-bool IsFenced(const Status& status) {
-  return status.IsUnavailable() &&
-         status.message().rfind(kFencedPrefix, 0) == 0;
-}
-
 Status LocalReplica::Apply(const LogEntry& entry, uint64_t epoch) {
   {
     MutexLock lock(mu_);
-    if (epoch < state_.epoch) return FencedStatus(epoch, state_.epoch);
-    state_.epoch = epoch;
-    if (entry.seq <= state_.applied) return Status::OK();  // replay
+    DSTORE_RETURN_IF_ERROR(watermark_.Admit(epoch));
+    if (watermark_.IsReplay(entry.seq)) return Status::OK();
   }
   // The store call runs outside the metadata lock (it may be slow or
   // fault-injected); the group applies to any one replica from a single
@@ -45,29 +28,21 @@ Status LocalReplica::Apply(const LogEntry& entry, uint64_t epoch) {
   }
   if (!status.ok()) return status;
   MutexLock lock(mu_);
-  if (entry.seq > state_.applied) state_.applied = entry.seq;
+  watermark_.MarkApplied(entry.seq);
   return Status::OK();
 }
 
 Status LocalReplica::Fence(uint64_t epoch, uint64_t max_applied) {
   MutexLock lock(mu_);
-  // A stale-epoch fence is a deposed handle trying to cap a more current
-  // replica's watermark — refuse it the way Apply refuses stale writes.
-  if (epoch < state_.epoch) return FencedStatus(epoch, state_.epoch);
-  state_.epoch = epoch;
-  if (state_.applied > max_applied) state_.applied = max_applied;
-  return Status::OK();
+  return watermark_.Fence(epoch, max_applied);
 }
 
 StatusOr<ReplicaState> LocalReplica::Probe() {
   MutexLock lock(mu_);
-  return state_;
+  return watermark_.state();
 }
 
 Status CloudReplica::Apply(const LogEntry& entry, uint64_t epoch) {
-  // The client maps the server's 412 fencing answer to an Unavailable
-  // status whose message carries the same "fenced:" prefix IsFenced keys
-  // on, so local and remote replicas reject stale epochs identically.
   return client_->ReplicaApply(std::string(OpName(entry.op)), entry.key,
                                entry.value.get(), entry.seq, epoch);
 }
@@ -77,11 +52,7 @@ Status CloudReplica::Fence(uint64_t epoch, uint64_t max_applied) {
 }
 
 StatusOr<ReplicaState> CloudReplica::Probe() {
-  DSTORE_ASSIGN_OR_RETURN(auto state, client_->ReplicaStatus());
-  ReplicaState out;
-  out.epoch = state.first;
-  out.applied = state.second;
-  return out;
+  return client_->ReplicaStatus();
 }
 
 }  // namespace replica

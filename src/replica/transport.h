@@ -10,33 +10,21 @@
 #include "replica/log.h"
 #include "store/cloud_client.h"
 #include "store/key_value.h"
+#include "store/replica_state.h"
 
 namespace dstore {
 namespace replica {
 
-// A replica's durable high-water marks: the leadership epoch it has accepted
-// and the highest log sequence it has applied.
-struct ReplicaState {
-  uint64_t epoch = 0;
-  uint64_t applied = 0;
-};
-
-// The status a replica answers when an apply carries a stale epoch — the
-// fencing that stops a deposed primary's late writes from landing after
-// failover. Deliberately NOT a transient error: the caller's leadership is
-// gone, so retrying or failing over on its behalf would be wrong.
-Status FencedStatus(uint64_t entry_epoch, uint64_t accepted_epoch);
-bool IsFenced(const Status& status);
-
 // How a ReplicaGroup talks to one replica. Two implementations: LocalReplica
-// wraps an in-process KeyValueStore plus in-memory epoch/applied state;
+// wraps an in-process KeyValueStore plus an in-memory ReplicaWatermark;
 // CloudReplica speaks the /replica/* verbs of a CloudStoreServer, whose
-// state survives the client (so a rejoining group handle probes the truth).
+// watermark survives the client (so a rejoining group handle probes the
+// truth). Both enforce the one rule in store/replica_state.h.
 class ReplicaTransport {
  public:
   virtual ~ReplicaTransport() = default;
 
-  // Applies one log entry under `epoch`. Fenced (see above) when the
+  // Applies one log entry under `epoch`. FencedStatus when the
   // replica has accepted a higher epoch; idempotent when `entry.seq` is at
   // or below the replica's applied watermark.
   virtual Status Apply(const LogEntry& entry, uint64_t epoch) = 0;
@@ -67,7 +55,7 @@ class LocalReplica : public ReplicaTransport {
  private:
   const std::shared_ptr<KeyValueStore> store_;
   Mutex mu_;
-  ReplicaState state_ GUARDED_BY(mu_);
+  ReplicaWatermark watermark_ GUARDED_BY(mu_);
 };
 
 // Remote replica behind a CloudStoreServer: applies and fencing go over the

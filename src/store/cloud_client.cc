@@ -22,6 +22,19 @@ Status HttpError(const std::string& what, int code) {
   return Status::IOError(what + " failed: HTTP " + std::to_string(code));
 }
 
+// Maps a /replica/* answer: 412 carries the replica's accepted epoch.
+Status ReplicaError(const std::string& what, const HttpResponse& response,
+                    uint64_t epoch) {
+  if (response.status_code == 412) {
+    auto it = response.headers.find("x-dstore-replica-epoch");
+    return FencedStatus(
+        epoch, it == response.headers.end()
+                   ? 0
+                   : std::strtoull(it->second.c_str(), nullptr, 10));
+  }
+  return HttpError(what, response.status_code);
+}
+
 }  // namespace
 
 StatusOr<std::unique_ptr<CloudStoreClient>> CloudStoreClient::Connect(
@@ -221,17 +234,8 @@ Status CloudStoreClient::ReplicaApply(const std::string& op,
   if (value != nullptr) request.body = *value;
   MutexLock lock(mu_);
   DSTORE_ASSIGN_OR_RETURN(HttpResponse response, RoundTrip(request));
-  if (response.status_code == 412) {
-    // The "fenced:" prefix is the contract replica::IsFenced matches; keep
-    // them in sync.
-    auto it = response.headers.find("x-dstore-replica-epoch");
-    return Status::Unavailable(
-        "fenced: write epoch " + std::to_string(epoch) +
-        " superseded by epoch " +
-        (it == response.headers.end() ? "?" : it->second));
-  }
   if (response.status_code != 200) {
-    return HttpError("replica apply", response.status_code);
+    return ReplicaError("replica apply", response, epoch);
   }
   return Status::OK();
 }
@@ -244,22 +248,13 @@ Status CloudStoreClient::ReplicaFence(uint64_t epoch, uint64_t max_applied) {
   request.headers["x-dstore-replica-applied"] = std::to_string(max_applied);
   MutexLock lock(mu_);
   DSTORE_ASSIGN_OR_RETURN(HttpResponse response, RoundTrip(request));
-  if (response.status_code == 412) {
-    // Same "fenced:" contract as ReplicaApply: our fencing epoch is itself
-    // superseded, so this handle's leadership is gone.
-    auto it = response.headers.find("x-dstore-replica-epoch");
-    return Status::Unavailable(
-        "fenced: fence epoch " + std::to_string(epoch) +
-        " superseded by epoch " +
-        (it == response.headers.end() ? "?" : it->second));
-  }
   if (response.status_code != 200) {
-    return HttpError("replica fence", response.status_code);
+    return ReplicaError("replica fence", response, epoch);
   }
   return Status::OK();
 }
 
-StatusOr<std::pair<uint64_t, uint64_t>> CloudStoreClient::ReplicaStatus() {
+StatusOr<ReplicaState> CloudStoreClient::ReplicaStatus() {
   HttpRequest request;
   request.method = "GET";
   request.path = "/replica/status";
@@ -270,10 +265,10 @@ StatusOr<std::pair<uint64_t, uint64_t>> CloudStoreClient::ReplicaStatus() {
   }
   const std::string body = ToString(response.body);
   char* end = nullptr;
-  const uint64_t epoch = std::strtoull(body.c_str(), &end, 10);
-  const uint64_t applied =
-      end == nullptr ? 0 : std::strtoull(end, nullptr, 10);
-  return std::make_pair(epoch, applied);
+  ReplicaState state;
+  state.epoch = std::strtoull(body.c_str(), &end, 10);
+  state.applied = end == nullptr ? 0 : std::strtoull(end, nullptr, 10);
+  return state;
 }
 
 std::string CloudStoreClient::last_put_etag() const {

@@ -10,6 +10,7 @@
 #include "common/sync.h"
 #include "net/http.h"
 #include "store/key_value.h"
+#include "store/replica_state.h"
 
 namespace dstore {
 
@@ -43,18 +44,18 @@ class CloudStoreClient : public KeyValueStore {
   std::string Name() const override { return name_; }
 
   // --- Replication verbs (the /replica/* routes of cloud_server.h) ---
-  // These carry primitives rather than replica/ types so the store layer
-  // stays below src/replica/ in the dependency graph.
+  // These carry primitives and store-layer types rather than replica/
+  // types so the store layer stays below src/replica/ in the dependency
+  // graph. A stale epoch (HTTP 412) surfaces as FencedStatus
+  // (store/replica_state.h).
 
   // Applies one replication log entry under `epoch`; `value` may be null
-  // for delete/clear. A stale epoch (HTTP 412) surfaces as Unavailable
-  // with a "fenced:" message prefix — the marker replica::IsFenced keys on.
+  // for delete/clear.
   Status ReplicaApply(const std::string& op, const std::string& key,
                       const Bytes* value, uint64_t seq, uint64_t epoch);
   // Raises the replica's accepted epoch and caps its applied watermark.
   Status ReplicaFence(uint64_t epoch, uint64_t max_applied);
-  // {accepted epoch, applied watermark}.
-  StatusOr<std::pair<uint64_t, uint64_t>> ReplicaStatus();
+  StatusOr<ReplicaState> ReplicaStatus();
 
   // Etag of the last Put, for callers that track versions.
   std::string last_put_etag() const;

@@ -24,11 +24,18 @@ HttpResponse MakeResponse(int code, const std::string& reason) {
   return response;
 }
 
+// The /replica/* answer to a stale epoch: 412 carrying the accepted epoch.
+HttpResponse FencedResponse(uint64_t accepted_epoch) {
+  HttpResponse response = MakeResponse(412, "Precondition Failed");
+  response.headers["x-dstore-replica-epoch"] = std::to_string(accepted_epoch);
+  return response;
+}
+
 }  // namespace
 
 StatusOr<std::unique_ptr<CloudStoreServer>> CloudStoreServer::Start(
     std::unique_ptr<LatencyModel> latency, uint16_t port,
-    admit::ServerQueue::Options queue_options, ServerCore core) {
+    admit::ServerQueue::Options queue_options, ServerCore) {
   auto server = std::unique_ptr<CloudStoreServer>(new CloudStoreServer());
   server->latency_ = std::move(latency);
   if (queue_options.name == admit::ServerQueue::Options().name) {
@@ -39,7 +46,6 @@ StatusOr<std::unique_ptr<CloudStoreServer>> CloudStoreServer::Start(
   CloudStoreServer* raw = server.get();
   AsyncServerOptions server_options;
   server_options.component = "cloud";
-  server_options.core = core;
   // A queued request blocks its worker thread in ServerQueue::Enter, and
   // pipelining means outstanding requests are bounded by admission capacity
   // rather than connection count — so the worker pool must cover every
@@ -198,8 +204,8 @@ HttpResponse CloudStoreServer::HandleReplicaRequest(
   if (request.path == "/replica/status" && request.method == "GET") {
     MutexLock lock(mu_);
     HttpResponse response = MakeResponse(200, "OK");
-    response.body = ToBytes(std::to_string(replica_epoch_) + " " +
-                            std::to_string(replica_applied_));
+    response.body = ToBytes(std::to_string(replica_.state().epoch) + " " +
+                            std::to_string(replica_.state().applied));
     return response;
   }
 
@@ -207,16 +213,9 @@ HttpResponse CloudStoreServer::HandleReplicaRequest(
     const uint64_t epoch = header_u64("x-dstore-replica-epoch");
     const uint64_t cap = header_u64("x-dstore-replica-applied");
     MutexLock lock(mu_);
-    // A stale-epoch fence is a deposed handle trying to cap a more current
-    // replica's watermark — refuse it the way stale applies are refused.
-    if (epoch < replica_epoch_) {
-      HttpResponse response = MakeResponse(412, "Precondition Failed");
-      response.headers["x-dstore-replica-epoch"] =
-          std::to_string(replica_epoch_);
-      return response;
+    if (!replica_.Fence(epoch, cap).ok()) {
+      return FencedResponse(replica_.state().epoch);
     }
-    replica_epoch_ = epoch;
-    if (replica_applied_ > cap) replica_applied_ = cap;
     return MakeResponse(200, "OK");
   }
 
@@ -230,17 +229,10 @@ HttpResponse CloudStoreServer::HandleReplicaRequest(
     const std::string hexkey =
         key_it == request.headers.end() ? "" : key_it->second;
     MutexLock lock(mu_);
-    // Fencing: an apply from an epoch below the highest this replica has
-    // accepted is a deposed primary's late write — refuse it with an
-    // answer no data-plane path produces.
-    if (epoch < replica_epoch_) {
-      HttpResponse response = MakeResponse(412, "Precondition Failed");
-      response.headers["x-dstore-replica-epoch"] =
-          std::to_string(replica_epoch_);
-      return response;
+    if (!replica_.Admit(epoch).ok()) {
+      return FencedResponse(replica_.state().epoch);
     }
-    replica_epoch_ = epoch;
-    if (seq > replica_applied_) {  // at-or-below = idempotent replay, skip
+    if (!replica_.IsReplay(seq)) {
       if (op == "put") {
         Object object;
         object.value = request.body;
@@ -253,11 +245,11 @@ HttpResponse CloudStoreServer::HandleReplicaRequest(
       } else {
         return MakeResponse(400, "Bad Replica Op");
       }
-      replica_applied_ = seq;
+      replica_.MarkApplied(seq);
     }
     HttpResponse response = MakeResponse(200, "OK");
     response.headers["x-dstore-replica-applied"] =
-        std::to_string(replica_applied_);
+        std::to_string(replica_.state().applied);
     return response;
   }
 

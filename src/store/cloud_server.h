@@ -12,8 +12,13 @@
 #include "net/http.h"
 #include "net/latency_model.h"
 #include "obs/metrics.h"
+#include "store/replica_state.h"
 
 namespace dstore {
+
+// Ignored by CloudStoreServer::Start; goes away with the next change to
+// scoreboard/, which still passes it.
+enum class ServerCore { kAsync };
 
 // Simulated cloud object store: an HTTP/1.1 REST server whose responses are
 // delayed by a configurable WAN latency model. Stands in for the paper's
@@ -62,13 +67,10 @@ class CloudStoreServer {
  public:
   // Takes ownership of `latency` (pass NoLatency for a LAN-local store).
   // `queue_options.name` defaults to "cloud" when left at its stock value.
-  // `core` picks the transport engine (async reactor by default; the
-  // threaded fallback is kept for one transition PR — see
-  // net/async_server.h).
   static StatusOr<std::unique_ptr<CloudStoreServer>> Start(
       std::unique_ptr<LatencyModel> latency, uint16_t port = 0,
       admit::ServerQueue::Options queue_options = {},
-      ServerCore core = DefaultServerCore());
+      ServerCore = ServerCore::kAsync);
 
   ~CloudStoreServer();
 
@@ -104,9 +106,9 @@ class CloudStoreServer {
   int objects_collector_id_ = 0;  // scrape-time object-count gauge refresh
   mutable Mutex mu_;
   std::unordered_map<std::string, Object> objects_ GUARDED_BY(mu_);
-  // Replication watermarks (see /replica/* above).
-  uint64_t replica_epoch_ GUARDED_BY(mu_) = 0;
-  uint64_t replica_applied_ GUARDED_BY(mu_) = 0;
+  // Replication watermarks (see /replica/* above); under mu_ so an apply is
+  // atomic with its object-map write.
+  ReplicaWatermark replica_ GUARDED_BY(mu_);
 };
 
 }  // namespace dstore

@@ -7,7 +7,6 @@
 #include "common/clock.h"
 #include "common/random.h"
 #include "common/sync.h"
-#include "fault/fault_store.h"
 #include "obs/metrics.h"
 #include "store/key_value.h"
 
@@ -101,45 +100,6 @@ class RetryingStore : public KeyValueStore {
   obs::Counter* obs_retries_;
   obs::Counter* obs_exhausted_;
   obs::Counter* obs_backoff_nanos_;
-};
-
-// FlakyStore: back-compat alias over fault/fault_store.h. Fails a
-// configurable fraction of operations with a transient error, either before
-// the inner operation runs (clean failure) or after (the ugly case: the
-// write happened but the client saw an error). New code should build a
-// FaultPlan and use FaultInjectingStore directly — it adds scheduled faults,
-// latency spikes, payload corruption, and a replayable trace; this wrapper
-// only preserves the historical single-probability interface (Clear is never
-// injected, matching the original). The injection counter now lives in the
-// plan and is atomic, so concurrent operations no longer race on it.
-class FlakyStore : public FaultInjectingStore {
- public:
-  struct Options {
-    double failure_probability = 0.1;
-    // If true, Put/Delete take effect even when an error is reported —
-    // models an acknowledged-lost response.
-    bool fail_after_apply = false;
-    uint64_t seed = 42;
-  };
-
-  FlakyStore(std::shared_ptr<KeyValueStore> inner, const Options& options)
-      : FaultInjectingStore(std::move(inner), MakePlan(options)) {}
-
-  std::string Name() const override { return inner()->Name() + "+flaky"; }
-
- private:
-  static std::shared_ptr<fault::FaultPlan> MakePlan(const Options& options) {
-    auto plan = std::make_shared<fault::FaultPlan>(options.seed);
-    fault::FaultRule rule;
-    rule.op =
-        "put,get,delete,contains,listkeys,count,getifchanged,multiget,"
-        "multiput";
-    rule.probability = options.failure_probability;
-    rule.kind = options.fail_after_apply ? fault::FaultKind::kErrorAfterApply
-                                         : fault::FaultKind::kError;
-    plan->AddRule(rule);
-    return plan;
-  }
 };
 
 }  // namespace dstore

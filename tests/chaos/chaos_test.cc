@@ -136,13 +136,9 @@ void RunStorePhase(uint64_t seed, SoakOutcome* outcome) {
 
 // Phase 2: a real CloudStoreServer/Client pair over loopback TCP with the
 // socket-level injector breaking connects, reads, writes, and accepts.
-// Runs against either server core: the async reactor by default, the
-// threaded fallback when asked, with identical assertions.
-void RunNetworkPhase(uint64_t seed, SoakOutcome* outcome,
-                     ServerCore core = DefaultServerCore()) {
+void RunNetworkPhase(uint64_t seed, SoakOutcome* outcome) {
   SCOPED_TRACE("network phase, seed=" + std::to_string(seed));
-  auto server = CloudStoreServer::Start(std::make_unique<NoLatency>(),
-                                        /*port=*/0, {}, core);
+  auto server = CloudStoreServer::Start(std::make_unique<NoLatency>());
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   auto client = CloudStoreClient::Connect("127.0.0.1", (*server)->port());
   ASSERT_TRUE(client.ok()) << client.status().ToString();
@@ -380,18 +376,6 @@ TEST(ChaosSoakTest, SeedMatrixSurvivesInjectedFaults) {
     // runtime blocking check stayed silent through every phase of this seed.
     EXPECT_EQ(sync::BlockingViolations(), blocking_before) << "seed=" << seed;
   }
-}
-
-// The threaded fallback core must survive the same network fault mix with
-// the same invariants while it remains in the tree.
-TEST(ChaosSoakTest, NetworkPhaseSurvivesOnThreadedCore) {
-  const uint64_t blocking_before = sync::BlockingViolations();
-  SoakOutcome outcome;
-  RunNetworkPhase(SeedMatrix().front(), &outcome, ServerCore::kThreaded);
-  EXPECT_GT(outcome.net_faults, 0u);
-  // The threaded core has no loop threads, so nothing here may trip the
-  // reactor blocking check either.
-  EXPECT_EQ(sync::BlockingViolations(), blocking_before);
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "fault/fault_store.h"
 #include "store/memory_store.h"
-#include "store/resilient_store.h"
 
 namespace dstore {
 namespace {
@@ -17,6 +17,14 @@ class MirroredStoreTest : public ::testing::Test {
 
   std::vector<std::shared_ptr<KeyValueStore>> All() { return {a_, b_, c_}; }
 
+  // A replica whose every operation fails.
+  static std::shared_ptr<KeyValueStore> Broken() {
+    auto plan = std::make_shared<fault::FaultPlan>(42);
+    plan->AddRule({});
+    return std::make_shared<FaultInjectingStore>(
+        std::make_shared<MemoryStore>(), plan);
+  }
+
   std::shared_ptr<MemoryStore> a_, b_, c_;
 };
 
@@ -29,19 +37,13 @@ TEST_F(MirroredStoreTest, WritesFanOutToAllReplicas) {
 }
 
 TEST_F(MirroredStoreTest, WriteConcernAllFailsOnAnyReplicaFailure) {
-  FlakyStore::Options broken;
-  broken.failure_probability = 1.0;
-  auto bad = std::make_shared<FlakyStore>(std::make_shared<MemoryStore>(),
-                                          broken);
+  auto bad = Broken();
   MirroredStore store({a_, bad});
   EXPECT_FALSE(store.PutString("k", "v").ok());
 }
 
 TEST_F(MirroredStoreTest, WriteConcernQuorumToleratesMinorityFailure) {
-  FlakyStore::Options broken;
-  broken.failure_probability = 1.0;
-  auto bad = std::make_shared<FlakyStore>(std::make_shared<MemoryStore>(),
-                                          broken);
+  auto bad = Broken();
   MirroredStore::Options options;
   options.write_concern = MirroredStore::WriteConcern::kQuorum;
   MirroredStore store({a_, b_, bad}, options);
@@ -50,12 +52,8 @@ TEST_F(MirroredStoreTest, WriteConcernQuorumToleratesMinorityFailure) {
 }
 
 TEST_F(MirroredStoreTest, WriteConcernOne) {
-  FlakyStore::Options broken;
-  broken.failure_probability = 1.0;
-  auto bad1 = std::make_shared<FlakyStore>(std::make_shared<MemoryStore>(),
-                                           broken);
-  auto bad2 = std::make_shared<FlakyStore>(std::make_shared<MemoryStore>(),
-                                           broken);
+  auto bad1 = Broken();
+  auto bad2 = Broken();
   MirroredStore::Options options;
   options.write_concern = MirroredStore::WriteConcern::kOne;
   MirroredStore store({bad1, a_, bad2}, options);

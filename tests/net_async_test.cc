@@ -5,7 +5,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <string>
@@ -638,76 +637,12 @@ TEST(ReactorWatchdogTest, StallGaugeRisesDuringDeliberateStall) {
   reactor.Stop();
 }
 
-// --- Threaded fallback ------------------------------------------------------
-
-TEST(ServerCoreTest, EnvironmentSelectsThreadedCore) {
-  ASSERT_EQ(setenv("DSTORE_SERVER_CORE", "threaded", 1), 0);
-  EXPECT_EQ(DefaultServerCore(), ServerCore::kThreaded);
-  ASSERT_EQ(unsetenv("DSTORE_SERVER_CORE"), 0);
-  EXPECT_EQ(DefaultServerCore(), ServerCore::kAsync);
-}
-
-// Both cores serve both protocols through the same factory; the net suite
-// pins the shared contract so the fallback stays honest while it exists.
-TEST(ServerCoreTest, ThreadedFallbackServesBothProtocols) {
-  AsyncServerOptions framed_options;
-  framed_options.core = ServerCore::kThreaded;
-  auto framed = MakeFramedServer(
-      [](const Bytes& request) {
-        Bytes response = ToBytes("ok:");
-        response.insert(response.end(), request.begin(), request.end());
-        return response;
-      },
-      std::move(framed_options));
-  ASSERT_TRUE(framed->Start(0).ok());
-  auto fclient = Socket::ConnectTcp("127.0.0.1", framed->port());
-  ASSERT_TRUE(fclient.ok());
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(WriteFrame(&*fclient, ToBytes("f" + std::to_string(i))).ok());
-    auto reply = ReadFrame(&*fclient);
-    ASSERT_TRUE(reply.ok());
-    EXPECT_EQ(ToString(*reply), "ok:f" + std::to_string(i));
-  }
-  EXPECT_GE(framed->ConnectionCount(), 1u);
-  EXPECT_EQ(framed->PausedConnectionCount(), 0u);
-  fclient->Close();
-  framed->Stop();
-
-  AsyncServerOptions http_options;
-  http_options.core = ServerCore::kThreaded;
-  auto http = MakeHttpServer(
-      [](const HttpRequest& request) {
-        HttpResponse response;
-        response.body = request.body;
-        return response;
-      },
-      std::move(http_options));
-  ASSERT_TRUE(http->Start(0).ok());
-  auto hclient = Socket::ConnectTcp("127.0.0.1", http->port());
-  ASSERT_TRUE(hclient.ok());
-  HttpConnection conn(std::move(*hclient));
-  for (int i = 0; i < 3; ++i) {
-    HttpRequest request;
-    request.method = "POST";
-    request.path = "/echo";
-    request.body = ToBytes("h" + std::to_string(i));
-    ASSERT_TRUE(conn.WriteRequest(request).ok());
-    auto response = conn.ReadResponse();
-    ASSERT_TRUE(response.ok());
-    EXPECT_EQ(ToString(response->body), "h" + std::to_string(i));
-  }
-  conn.Close();
-  http->Stop();
-}
-
 // --- ServerQueue under pipelining (regression) ------------------------------
 
-// The threaded core carried a one-connection==one-request assumption: a
-// connection's requests entered admission serially, so a single client
-// could never have more than one request in the queue. With pipelining the
-// same client lands N requests at once, and each must take its own
-// admission — counted per request, shed per request — with excess shed as
-// 503 and every response still delivered in order on the one connection.
+// With pipelining one client lands N requests at once, and each must take
+// its own admission — counted per request, shed per request — with excess
+// shed as 503 and every response still delivered in order on the one
+// connection.
 TEST(ServerQueuePipelineTest, PipelinedRequestsAdmittedAndShedPerRequest) {
   constexpr int kRequests = 6;
   admit::ServerQueue::Options queue_options;

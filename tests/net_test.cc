@@ -1,13 +1,10 @@
-#include <atomic>
 #include <thread>
 
 #include <gtest/gtest.h>
 
-#include "common/clock.h"
 #include "net/framing.h"
 #include "net/http.h"
 #include "net/latency_model.h"
-#include "net/server.h"
 #include "net/socket.h"
 
 namespace dstore {
@@ -81,51 +78,6 @@ TEST(FramingTest, RoundTripsFrames) {
     EXPECT_EQ(ToString(*echoed), payload);
   }
   server.join();
-}
-
-TEST(ThreadedServerTest, ServesMultipleClients) {
-  std::atomic<int> connections{0};
-  ThreadedServer server([&connections](Socket socket) {
-    connections.fetch_add(1);
-    auto frame = ReadFrame(&socket);
-    if (frame.ok()) (void)WriteFrame(&socket, *frame);
-  });
-  ASSERT_TRUE(server.Start(0).ok());
-
-  std::vector<std::thread> clients;
-  std::atomic<int> successes{0};
-  for (int i = 0; i < 6; ++i) {
-    clients.emplace_back([&server, &successes] {
-      auto conn = Socket::ConnectTcp("127.0.0.1", server.port());
-      if (!conn.ok()) return;
-      if (!WriteFrame(&*conn, ToBytes("ping")).ok()) return;
-      auto reply = ReadFrame(&*conn);
-      if (reply.ok() && ToString(*reply) == "ping") successes.fetch_add(1);
-    });
-  }
-  for (auto& c : clients) c.join();
-  EXPECT_EQ(successes.load(), 6);
-  EXPECT_EQ(connections.load(), 6);
-  server.Stop();
-}
-
-TEST(ThreadedServerTest, StopUnblocksIdleConnections) {
-  ThreadedServer server([](Socket socket) {
-    // Blocks until the peer or Stop() closes the connection.
-    (void)ReadFrame(&socket);
-  });
-  ASSERT_TRUE(server.Start(0).ok());
-  auto conn = Socket::ConnectTcp("127.0.0.1", server.port());
-  ASSERT_TRUE(conn.ok());
-  RealClock::Default()->SleepFor(20 * 1'000'000);
-  server.Stop();  // must not hang
-}
-
-TEST(ThreadedServerTest, StartTwiceFails) {
-  ThreadedServer server([](Socket) {});
-  ASSERT_TRUE(server.Start(0).ok());
-  EXPECT_TRUE(server.Start(0).IsAlreadyExists());
-  server.Stop();
 }
 
 TEST(LatencyModelTest, NoLatencyIsZero) {

@@ -6,7 +6,6 @@
 
 #include <sys/resource.h>
 
-#include <atomic>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
@@ -22,6 +21,7 @@
 #include "common/clock.h"
 
 #include "fault/fault.h"
+#include "fault/fault_store.h"
 #include "net/latency_model.h"
 #include "obs/metrics.h"
 #include "replica/group.h"
@@ -113,41 +113,14 @@ bool DrainConverged(ReplicaGroup* group) {
   return false;
 }
 
-// Delegating store whose next N Put calls answer a transient error —
-// models a primary whose backend hiccups mid-apply.
-class FlakyStore : public KeyValueStore {
- public:
-  explicit FlakyStore(std::shared_ptr<KeyValueStore> inner)
-      : inner_(std::move(inner)) {}
-  void FailNextPuts(int n) { fail_puts_.store(n); }
-
-  Status Put(const std::string& key, ValuePtr value) override {
-    int left = fail_puts_.load();
-    while (left > 0) {
-      if (fail_puts_.compare_exchange_weak(left, left - 1)) {
-        return Status::Unavailable("injected put failure");
-      }
-    }
-    return inner_->Put(key, std::move(value));
-  }
-  StatusOr<ValuePtr> Get(const std::string& key) override {
-    return inner_->Get(key);
-  }
-  Status Delete(const std::string& key) override { return inner_->Delete(key); }
-  StatusOr<bool> Contains(const std::string& key) override {
-    return inner_->Contains(key);
-  }
-  StatusOr<std::vector<std::string>> ListKeys() override {
-    return inner_->ListKeys();
-  }
-  StatusOr<size_t> Count() override { return inner_->Count(); }
-  Status Clear() override { return inner_->Clear(); }
-  std::string Name() const override { return "flaky(" + inner_->Name() + ")"; }
-
- private:
-  std::shared_ptr<KeyValueStore> inner_;
-  std::atomic<int> fail_puts_{0};
-};
+// A rule failing `limit` puts (0 = every put) with a transient error —
+// models a backend that hiccups mid-apply.
+fault::FaultRule FailPuts(uint64_t limit) {
+  fault::FaultRule rule;
+  rule.op = "put";
+  rule.limit = limit;
+  return rule;
+}
 
 uint64_t CounterValue(const std::string& name, const std::string& group) {
   return obs::MetricsRegistry::Default()
@@ -417,7 +390,7 @@ TEST(ReplicaGroupTest, PromotionFencesTheDeposedPrimary) {
   // every fenced replica refuses it — with a non-transient status, so no
   // retry loop or second failover fires on its behalf.
   const Status late = transports[2]->Apply(MakePut(2, "late", "x"), 1);
-  EXPECT_TRUE(replica::IsFenced(late)) << late.ToString();
+  EXPECT_TRUE(IsFenced(late)) << late.ToString();
   EXPECT_FALSE(late.ok());
 
   // The group itself keeps writing under the new epoch.
@@ -430,9 +403,11 @@ TEST(ReplicaGroupTest, PromotionFencesTheDeposedPrimary) {
 // primary's backend does not hold.
 TEST(ReplicaGroupTest, FailedPrimaryApplyIsBackfilledNotSkipped) {
   auto flaky_backend = std::make_shared<MemoryStore>();
-  auto flaky = std::make_shared<FlakyStore>(flaky_backend);
+  auto plan = std::make_shared<fault::FaultPlan>(42);
   std::vector<ReplicaGroup::ReplicaSpec> specs;
-  specs.push_back({"r0", std::make_shared<replica::LocalReplica>(flaky)});
+  specs.push_back({"r0", std::make_shared<replica::LocalReplica>(
+                             std::make_shared<FaultInjectingStore>(
+                                 flaky_backend, plan))});
   std::vector<std::shared_ptr<MemoryStore>> backends = {flaky_backend};
   for (int i = 1; i < 3; ++i) {
     auto backend = std::make_shared<MemoryStore>();
@@ -449,7 +424,7 @@ TEST(ReplicaGroupTest, FailedPrimaryApplyIsBackfilledNotSkipped) {
   // One transient backend hiccup: the write surfaces an error (uncertain —
   // the entry is logged and the backups hold it) and the primary is left
   // with a hole at seq 2.
-  flaky->FailNextPuts(1);
+  plan->AddRule(FailPuts(1));
   const auto failed =
       (*group)->Write(OpType::kPut, "k2", MakeValue(std::string_view("v2")));
   EXPECT_FALSE(failed.ok());
@@ -513,7 +488,7 @@ TEST(ReplicaGroupTest, StaleEpochRejoinerIsFencedAndClamped) {
   EXPECT_EQ(*backends[0]->GetString("a"), "current");
   // And the rejoiner is fenced now: stale-epoch traffic is refused.
   const Status late = transports[0]->Apply(MakePut(3, "late", "x"), 1);
-  EXPECT_TRUE(replica::IsFenced(late)) << late.ToString();
+  EXPECT_TRUE(IsFenced(late)) << late.ToString();
 }
 
 // The quorum-wait deadline must live on the injected clock: a write stuck
@@ -531,10 +506,12 @@ TEST(ReplicaGroupTest, WriteDeadlinesUseInjectedClock) {
   specs.push_back({"r0", std::make_shared<replica::LocalReplica>(
                              std::make_shared<MemoryStore>())});
   for (int i = 1; i < 3; ++i) {
-    auto flaky = std::make_shared<FlakyStore>(std::make_shared<MemoryStore>());
-    flaky->FailNextPuts(1 << 30);
+    auto plan = std::make_shared<fault::FaultPlan>(42);
+    plan->AddRule(FailPuts(0));
     specs.push_back({"r" + std::to_string(i),
-                     std::make_shared<replica::LocalReplica>(flaky)});
+                     std::make_shared<replica::LocalReplica>(
+                         std::make_shared<FaultInjectingStore>(
+                             std::make_shared<MemoryStore>(), plan))});
   }
   auto group = ReplicaGroup::Create(specs, options);
   ASSERT_TRUE(group.ok());
@@ -605,9 +582,70 @@ TEST(ReplicaGroupTest, SplitBrainWritesAreFencedAcrossHandles) {
                           ->Write(OpType::kPut, "late",
                                   MakeValue(std::string_view("2")));
   ASSERT_FALSE(result.ok());
-  EXPECT_TRUE(replica::IsFenced(result.status()))
-      << result.status().ToString();
+  EXPECT_TRUE(IsFenced(result.status())) << result.status().ToString();
   for (auto& server : servers) server->Stop();
+}
+
+// One scripted apply/fence sequence, rendered one line per step: the
+// result (ok / fenced) and the replica state and contents after it.
+std::vector<std::string> RunFenceScript(replica::ReplicaTransport* t) {
+  std::vector<std::string> lines;
+  auto record = [&](const std::string& step, const Status& status) {
+    auto state = t->Probe();
+    if (!state.ok()) {
+      lines.push_back(step + " -> probe failed");
+      return;
+    }
+    auto k1 = t->store()->GetString("k1");
+    auto k2 = t->store()->GetString("k2");
+    lines.push_back(
+        step + " -> " +
+        (status.ok() ? "ok" : IsFenced(status) ? "fenced" : "error") +
+        " state=" + std::to_string(state->epoch) + "/" +
+        std::to_string(state->applied) + " k1=" + (k1.ok() ? *k1 : "-") +
+        " k2=" + (k2.ok() ? *k2 : "-"));
+  };
+  auto apply = [&](uint64_t seq, const std::string& key,
+                   const std::string& value, uint64_t epoch) {
+    record("apply " + std::to_string(seq) + "@" + std::to_string(epoch),
+           t->Apply(MakePut(seq, key, value), epoch));
+  };
+  apply(1, "k1", "a", 1);
+  apply(2, "k2", "b", 1);
+  apply(1, "k1", "replayed", 1);  // at the watermark: a no-op
+  record("fence 2 cap 1", t->Fence(2, 1));
+  apply(3, "k1", "stale", 1);               // deposed epoch: refused
+  record("fence 1 cap 0", t->Fence(1, 0));  // stale: state unchanged
+  apply(2, "k2", "c", 2);                   // above the cap: applied again
+  LogEntry del = MakePut(3, "k1", "");
+  del.op = OpType::kDelete;
+  record("delete 3@3", t->Apply(del, 3));
+  return lines;
+}
+
+// LocalReplica and CloudReplica enforce one fence/apply rule: the same
+// script gives the same results and the same state over both transports.
+TEST(ReplicaTransportTest, LocalAndCloudFenceIdentically) {
+  replica::LocalReplica local(std::make_shared<MemoryStore>());
+  auto server = CloudStoreServer::Start(std::make_unique<NoLatency>());
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  auto client = CloudStoreClient::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  replica::CloudReplica cloud(*std::move(client));
+
+  const std::vector<std::string> expected = {
+      "apply 1@1 -> ok state=1/1 k1=a k2=-",
+      "apply 2@1 -> ok state=1/2 k1=a k2=b",
+      "apply 1@1 -> ok state=1/2 k1=a k2=b",
+      "fence 2 cap 1 -> ok state=2/1 k1=a k2=b",
+      "apply 3@1 -> fenced state=2/1 k1=a k2=b",
+      "fence 1 cap 0 -> fenced state=2/1 k1=a k2=b",
+      "apply 2@2 -> ok state=2/2 k1=a k2=c",
+      "delete 3@3 -> ok state=3/3 k1=- k2=c",
+  };
+  EXPECT_EQ(RunFenceScript(&local), expected);
+  EXPECT_EQ(RunFenceScript(&cloud), expected);
+  (*server)->Stop();
 }
 
 // --- Read repair and anti-entropy ------------------------------------------

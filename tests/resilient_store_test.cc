@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/clock.h"
+#include "fault/fault_store.h"
 #include "obs/metrics.h"
 #include "store/memory_store.h"
 
@@ -145,52 +146,53 @@ TEST(RetryingStoreTest, NameShowsDecoration) {
   EXPECT_EQ(store.Name(), "memory+retry");
 }
 
-TEST(FlakyStoreTest, InjectsFailuresAtConfiguredRate) {
+// A FaultInjectingStore whose every operation fails with probability `p`.
+std::shared_ptr<FaultInjectingStore> FailingStore(
+    std::shared_ptr<KeyValueStore> inner, double p,
+    fault::FaultKind kind = fault::FaultKind::kError) {
+  auto plan = std::make_shared<fault::FaultPlan>(42);
+  fault::FaultRule rule;
+  rule.probability = p;
+  rule.kind = kind;
+  plan->AddRule(rule);
+  return std::make_shared<FaultInjectingStore>(std::move(inner), plan);
+}
+
+TEST(FaultInjectingStoreTest, InjectsFailuresAtConfiguredRate) {
   auto inner = std::make_shared<MemoryStore>();
   inner->PutString("k", "v").ok();  // seed directly, bypassing fault injection
-  FlakyStore::Options options;
-  options.failure_probability = 0.5;
-  FlakyStore store(inner, options);
+  auto store = FailingStore(inner, 0.5);
   int failures = 0;
   const int trials = 1000;
   for (int i = 0; i < trials; ++i) {
-    if (!store.Get("k").ok()) ++failures;
+    if (!store->Get("k").ok()) ++failures;
   }
   EXPECT_NEAR(static_cast<double>(failures) / trials, 0.5, 0.08);
-  EXPECT_GT(store.injected_failures(), 0u);
+  EXPECT_GT(store->injected_failures(), 0u);
 }
 
-TEST(FlakyStoreTest, ZeroProbabilityNeverFails) {
-  FlakyStore::Options options;
-  options.failure_probability = 0.0;
-  FlakyStore store(std::make_shared<MemoryStore>(), options);
+TEST(FaultInjectingStoreTest, ZeroProbabilityNeverFails) {
+  auto store = FailingStore(std::make_shared<MemoryStore>(), 0.0);
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(store.PutString("k", "v").ok());
-    ASSERT_TRUE(store.Get("k").ok());
+    ASSERT_TRUE(store->PutString("k", "v").ok());
+    ASSERT_TRUE(store->Get("k").ok());
   }
-  EXPECT_EQ(store.injected_failures(), 0u);
+  EXPECT_EQ(store->injected_failures(), 0u);
 }
 
-TEST(FlakyStoreTest, FailAfterApplyStillWrites) {
+TEST(FaultInjectingStoreTest, FailAfterApplyStillWrites) {
   auto inner = std::make_shared<MemoryStore>();
-  FlakyStore::Options options;
-  options.failure_probability = 1.0;
-  options.fail_after_apply = true;
-  FlakyStore store(inner, options);
+  auto store = FailingStore(inner, 1.0, fault::FaultKind::kErrorAfterApply);
   // Client sees an error...
-  EXPECT_TRUE(store.PutString("k", "v").IsUnavailable());
+  EXPECT_TRUE(store->PutString("k", "v").IsUnavailable());
   // ...but the write landed (acknowledged-lost).
   EXPECT_EQ(*inner->GetString("k"), "v");
 }
 
-TEST(FlakyStoreTest, RetryingOverFlakyConverges) {
+TEST(RetryingStoreTest, ConvergesOverInjectedFaults) {
   // The intended composition: a retrying client over an unreliable store.
-  FlakyStore::Options flaky_options;
-  flaky_options.failure_probability = 0.3;
-  auto flaky =
-      std::make_shared<FlakyStore>(std::make_shared<MemoryStore>(),
-                                   flaky_options);
-  RetryingStore store(flaky, FastRetries(10));
+  auto faulty = FailingStore(std::make_shared<MemoryStore>(), 0.3);
+  RetryingStore store(faulty, FastRetries(10));
   int successes = 0;
   for (int i = 0; i < 200; ++i) {
     const std::string key = "k" + std::to_string(i);
@@ -198,7 +200,7 @@ TEST(FlakyStoreTest, RetryingOverFlakyConverges) {
   }
   // P(10 consecutive failures) = 0.3^10 ~ 6e-6 per op: all should succeed.
   EXPECT_EQ(successes, 200);
-  EXPECT_GT(flaky->injected_failures(), 0u);
+  EXPECT_GT(faulty->injected_failures(), 0u);
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "fault/fault_store.h"
 #include "store/memory_store.h"
-#include "store/resilient_store.h"
 
 namespace dstore {
 namespace {
@@ -77,9 +77,9 @@ TEST_F(TransactionTest, DoubleCommitRejected) {
 TEST_F(TransactionTest, PrepareFailureRollsBackCleanly) {
   // Store B rejects every write: the transaction must fail before any
   // final key is touched anywhere.
-  FlakyStore::Options always_fail;
-  always_fail.failure_probability = 1.0;
-  auto broken = std::make_shared<FlakyStore>(store_b_, always_fail);
+  auto always_fail = std::make_shared<fault::FaultPlan>(42);
+  always_fail->AddRule({});
+  auto broken = std::make_shared<FaultInjectingStore>(store_b_, always_fail);
 
   MultiStoreTransaction txn(coordinator_, MakeTransactionId());
   txn.Put(store_a_, "a", "k1", MakeValue(std::string_view("v")));
