@@ -8,21 +8,9 @@
 namespace dstore {
 namespace admit {
 
-namespace {
-
-// Uniform helpers so the With* templates treat Status and StatusOr alike
-// (the RetryingStore::WithRetries pattern).
-inline const Status& StatusOf(const Status& s) { return s; }
-template <typename T>
-inline const Status& StatusOf(const StatusOr<T>& s) {
-  return s.status();
-}
-
-}  // namespace
-
 AdmittingStore::AdmittingStore(std::shared_ptr<KeyValueStore> inner,
                                const Options& options)
-    : inner_(std::move(inner)),
+    : WrappingStore(std::move(inner)),
       options_(options),
       introspection_([this] { return DebugLine(); }) {
   if (options_.publish_metrics) {
@@ -41,71 +29,37 @@ AdmittingStore::AdmittingStore(std::shared_ptr<KeyValueStore> inner,
   }
 }
 
-template <typename R, typename Op>
-R AdmittingStore::WithAdmission(const char* op_name, Op&& op) {
+Status AdmittingStore::Around(StoreOp op, const OpCall& call) {
+  const char* op_name = StoreOpName(op);
   obs::Span span(std::string("admit.") + op_name, obs::Stage::kAdmit);
   const Deadline deadline = CurrentDeadline();
   if (options_.enforce_deadline && deadline.expired()) {
     if (obs_deadline_expired_ != nullptr) obs_deadline_expired_->Increment();
-    return R(Status::TimedOut("deadline expired before " +
-                              std::string(op_name) + " on " + Name()));
+    return Status::TimedOut("deadline expired before " +
+                            std::string(op_name) + " on " + Name());
   }
   if (options_.rate_limiter != nullptr &&
       !options_.rate_limiter->TryAcquire()) {
     if (obs_rate_limited_ != nullptr) obs_rate_limited_->Increment();
-    return R(Status::Overloaded("rate limit exceeded on " + Name()));
+    return Status::Overloaded("rate limit exceeded on " + Name());
   }
   if (options_.limiter != nullptr && !options_.limiter->TryAcquire()) {
-    return R(Status::Overloaded("concurrency limit reached on " + Name()));
+    return Status::Overloaded("concurrency limit reached on " + Name());
   }
-  R result = op();
+  Status result = call();
   if (options_.enforce_deadline && deadline.has_deadline() &&
-      deadline.expired() && StatusOf(result).ok()) {
+      deadline.expired() && result.ok()) {
     // Completed, but too late: the caller's budget is spent, and stacked
     // limiters/breakers must see a stalled backend as overload, not as a
     // slow success.
     if (obs_late_ != nullptr) obs_late_->Increment();
-    result = R(Status::TimedOut("completed after deadline on " + Name()));
+    result = Status::TimedOut("completed after deadline on " + Name());
   }
   if (options_.limiter != nullptr) {
-    options_.limiter->Release(StatusOf(result));
+    options_.limiter->Release(result);
   }
-  span.SetStatus(StatusOf(result));
+  span.SetStatus(result);
   return result;
-}
-
-Status AdmittingStore::Put(const std::string& key, ValuePtr value) {
-  return WithAdmission<Status>("put",
-                               [&] { return inner_->Put(key, value); });
-}
-
-StatusOr<ValuePtr> AdmittingStore::Get(const std::string& key) {
-  return WithAdmission<StatusOr<ValuePtr>>("get",
-                                           [&] { return inner_->Get(key); });
-}
-
-Status AdmittingStore::Delete(const std::string& key) {
-  return WithAdmission<Status>("delete",
-                               [&] { return inner_->Delete(key); });
-}
-
-StatusOr<bool> AdmittingStore::Contains(const std::string& key) {
-  return WithAdmission<StatusOr<bool>>(
-      "contains", [&] { return inner_->Contains(key); });
-}
-
-StatusOr<std::vector<std::string>> AdmittingStore::ListKeys() {
-  return WithAdmission<StatusOr<std::vector<std::string>>>(
-      "listkeys", [&] { return inner_->ListKeys(); });
-}
-
-StatusOr<size_t> AdmittingStore::Count() {
-  return WithAdmission<StatusOr<size_t>>("count",
-                                         [&] { return inner_->Count(); });
-}
-
-Status AdmittingStore::Clear() {
-  return WithAdmission<Status>("clear", [&] { return inner_->Clear(); });
 }
 
 std::string AdmittingStore::DebugLine() const {
@@ -137,46 +91,15 @@ CircuitBreaker::Options CircuitBreakerStore::WithDefaultName(
 CircuitBreakerStore::CircuitBreakerStore(
     std::shared_ptr<KeyValueStore> inner,
     CircuitBreaker::Options breaker_options)
-    : inner_(std::move(inner)),
+    : WrappingStore(std::move(inner)),
       breaker_(WithDefaultName(std::move(breaker_options), *inner_)),
       introspection_([this] { return breaker_.DebugLine(); }) {}
 
-template <typename R, typename Op>
-R CircuitBreakerStore::WithBreaker(Op&& op) {
-  Status admit = breaker_.Admit();
-  if (!admit.ok()) return R(std::move(admit));
-  R result = op();
-  breaker_.OnResult(StatusOf(result));
+Status CircuitBreakerStore::Around(StoreOp, const OpCall& call) {
+  DSTORE_RETURN_IF_ERROR(breaker_.Admit());
+  Status result = call();
+  breaker_.OnResult(result);
   return result;
-}
-
-Status CircuitBreakerStore::Put(const std::string& key, ValuePtr value) {
-  return WithBreaker<Status>([&] { return inner_->Put(key, value); });
-}
-
-StatusOr<ValuePtr> CircuitBreakerStore::Get(const std::string& key) {
-  return WithBreaker<StatusOr<ValuePtr>>([&] { return inner_->Get(key); });
-}
-
-Status CircuitBreakerStore::Delete(const std::string& key) {
-  return WithBreaker<Status>([&] { return inner_->Delete(key); });
-}
-
-StatusOr<bool> CircuitBreakerStore::Contains(const std::string& key) {
-  return WithBreaker<StatusOr<bool>>([&] { return inner_->Contains(key); });
-}
-
-StatusOr<std::vector<std::string>> CircuitBreakerStore::ListKeys() {
-  return WithBreaker<StatusOr<std::vector<std::string>>>(
-      [&] { return inner_->ListKeys(); });
-}
-
-StatusOr<size_t> CircuitBreakerStore::Count() {
-  return WithBreaker<StatusOr<size_t>>([&] { return inner_->Count(); });
-}
-
-Status CircuitBreakerStore::Clear() {
-  return WithBreaker<Status>([&] { return inner_->Clear(); });
 }
 
 }  // namespace admit

@@ -12,7 +12,7 @@
 #include "admit/token_bucket.h"
 #include "common/clock.h"
 #include "obs/metrics.h"
-#include "store/key_value.h"
+#include "store/forwarding_store.h"
 
 namespace dstore {
 namespace admit {
@@ -40,7 +40,7 @@ namespace admit {
 //     Overloaded.
 //  3. AdaptiveLimiter — optional AIMD concurrency limit; every admitted
 //     operation's outcome feeds the controller.
-class AdmittingStore : public KeyValueStore {
+class AdmittingStore : public WrappingStore {
  public:
   struct Options {
     bool enforce_deadline = true;
@@ -55,13 +55,6 @@ class AdmittingStore : public KeyValueStore {
   explicit AdmittingStore(std::shared_ptr<KeyValueStore> inner)
       : AdmittingStore(std::move(inner), Options()) {}
 
-  Status Put(const std::string& key, ValuePtr value) override;
-  StatusOr<ValuePtr> Get(const std::string& key) override;
-  Status Delete(const std::string& key) override;
-  StatusOr<bool> Contains(const std::string& key) override;
-  StatusOr<std::vector<std::string>> ListKeys() override;
-  StatusOr<size_t> Count() override;
-  Status Clear() override;
   std::string Name() const override { return inner_->Name() + "+admit"; }
 
   const std::shared_ptr<AdaptiveLimiter>& limiter() const {
@@ -73,11 +66,10 @@ class AdmittingStore : public KeyValueStore {
 
   std::string DebugLine() const;
 
- private:
-  template <typename R, typename Op>
-  R WithAdmission(const char* op_name, Op&& op);
+ protected:
+  Status Around(StoreOp op, const OpCall& call) override;
 
-  std::shared_ptr<KeyValueStore> inner_;
+ private:
   const Options options_;
   obs::Counter* obs_deadline_expired_ = nullptr;
   obs::Counter* obs_late_ = nullptr;
@@ -90,7 +82,7 @@ class AdmittingStore : public KeyValueStore {
 // recovery probe succeeds. Overload-class failures (TimedOut, Unavailable,
 // Overloaded — the same classification ResilientStore retries on) feed the
 // breaker; application errors like NotFound do not.
-class CircuitBreakerStore : public KeyValueStore {
+class CircuitBreakerStore : public WrappingStore {
  public:
   // `breaker_options.name` defaults to the inner store's Name() when left
   // at its stock value, giving per-store metrics labels for free.
@@ -99,25 +91,17 @@ class CircuitBreakerStore : public KeyValueStore {
   explicit CircuitBreakerStore(std::shared_ptr<KeyValueStore> inner)
       : CircuitBreakerStore(std::move(inner), CircuitBreaker::Options()) {}
 
-  Status Put(const std::string& key, ValuePtr value) override;
-  StatusOr<ValuePtr> Get(const std::string& key) override;
-  Status Delete(const std::string& key) override;
-  StatusOr<bool> Contains(const std::string& key) override;
-  StatusOr<std::vector<std::string>> ListKeys() override;
-  StatusOr<size_t> Count() override;
-  Status Clear() override;
   std::string Name() const override { return inner_->Name() + "+breaker"; }
 
   CircuitBreaker* breaker() { return &breaker_; }
 
- private:
-  template <typename R, typename Op>
-  R WithBreaker(Op&& op);
+ protected:
+  Status Around(StoreOp op, const OpCall& call) override;
 
+ private:
   static CircuitBreaker::Options WithDefaultName(
       CircuitBreaker::Options options, const KeyValueStore& inner);
 
-  std::shared_ptr<KeyValueStore> inner_;
   CircuitBreaker breaker_;
   ScopedIntrospection introspection_;
 };

@@ -70,6 +70,7 @@ Status ServerQueue::Enter(Lane lane, int64_t* wait_nanos) {
     ShedLocked(obs_shed_injected_);
     return Status::Overloaded("injected shed at admit.queue");
   }
+  if (CurrentDeadline().expired()) return ShedDeadlineLocked();
   if (active_ < options_.max_concurrency && queue_.empty()) {
     ++active_;
     if (obs_active_ != nullptr) obs_active_->Set(active_);
@@ -99,6 +100,12 @@ Status ServerQueue::Enter(Lane lane, int64_t* wait_nanos) {
     cv_.WaitFor(mu_, std::chrono::nanoseconds(
                          std::min(budget_left, deadline_left)));
   }
+  if (waiter.admitted && CurrentDeadline().expired()) {
+    // Handed a slot, but the budget ran out before this thread woke: pass
+    // the slot on rather than run work whose caller has given up.
+    ReleaseSlotLocked();
+    return ShedDeadlineLocked();
+  }
   if (waiter.admitted) {
     const int64_t waited = clock_->NowNanos() - waiter.enqueue_nanos;
     if (wait_nanos != nullptr) *wait_nanos = waited;
@@ -109,16 +116,13 @@ Status ServerQueue::Enter(Lane lane, int64_t* wait_nanos) {
     return Status::OK();
   }
   if (!waiter.shed) {
-    // Timed out (or deadline-expired) in place: still queued, remove self.
+    // Wait budget or deadline ran out in place: still queued, remove self.
     queue_.erase(std::find(queue_.begin(), queue_.end(), &waiter));
-    ShedLocked(deadline_expired ? obs_shed_deadline_ : obs_shed_timeout_);
   }
   if (obs_depth_ != nullptr) obs_depth_->Set(static_cast<double>(
       queue_.size()));
-  if (deadline_expired) {
-    return Status::TimedOut("deadline expired while queued at " +
-                            options_.name);
-  }
+  if (deadline_expired) return ShedDeadlineLocked();
+  if (!waiter.shed) ShedLocked(obs_shed_timeout_);
   return Status::Overloaded("server queue " + options_.name +
                             " wait budget exceeded");
 }
@@ -129,6 +133,15 @@ void ServerQueue::Exit(Lane lane) {
     if (priority_active_ > 0) --priority_active_;
     return;
   }
+  ReleaseSlotLocked();
+}
+
+Status ServerQueue::ShedDeadlineLocked() {
+  ShedLocked(obs_shed_deadline_);
+  return Status::TimedOut("deadline expired at queue " + options_.name);
+}
+
+void ServerQueue::ReleaseSlotLocked() {
   if (active_ > 0) --active_;
   const int64_t now = clock_->NowNanos();
   while (!queue_.empty() && active_ < options_.max_concurrency) {

@@ -32,8 +32,10 @@ namespace admit {
 // is managing.
 //
 // The waiter's budget is additionally capped by the ambient
-// CurrentDeadline(): a request whose deadline expires while queued is
-// abandoned with TimedOut before it ever touches the backend.
+// CurrentDeadline(): a request whose deadline has expired — on arrival,
+// while queued, or by the time it wakes holding a slot — is shed with
+// TimedOut (reason "deadline") before it ever touches the backend. This is
+// the one place deadline shedding is decided.
 //
 // Fault site: with a FaultPlan attached, Enter() consults "admit.queue"
 // (op "enter"); a fired error-kind rule sheds that request deterministically.
@@ -56,7 +58,7 @@ class ServerQueue {
   explicit ServerQueue(const Options& options);
 
   // Blocks until a slot is free (normal lane, possibly queueing), or
-  // returns Overloaded (shed) / TimedOut (deadline expired while queued).
+  // returns Overloaded (shed) / TimedOut (deadline expired).
   // Every OK return must be paired with one Exit() on the same lane.
   // `wait_nanos`, when non-null, receives the time spent queued (0 when
   // admitted immediately or shed at the door) — the queue-stage latency a
@@ -111,6 +113,9 @@ class ServerQueue {
   };
 
   void ShedLocked(obs::Counter* counter) REQUIRES(mu_);
+  // The body of Exit() for a normal-lane slot.
+  void ReleaseSlotLocked() REQUIRES(mu_);
+  Status ShedDeadlineLocked() REQUIRES(mu_);
 
   const Options options_;
   Clock* const clock_;

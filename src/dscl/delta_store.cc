@@ -8,15 +8,15 @@ namespace dstore {
 
 DeltaStore::DeltaStore(std::shared_ptr<KeyValueStore> base,
                        const Options& options)
-    : base_(std::move(base)), options_(options) {}
+    : PerKeyStore(std::move(base)), options_(options) {}
 
 StatusOr<Bytes> DeltaStore::Reconstruct(const std::string& key,
                                         uint64_t chain_length) {
   obs::Span span("delta.reconstruct", obs::Stage::kTransform);
-  DSTORE_ASSIGN_OR_RETURN(ValuePtr base_value, base_->Get(BaseKey(key)));
+  DSTORE_ASSIGN_OR_RETURN(ValuePtr base_value, inner_->Get(BaseKey(key)));
   Bytes current = *base_value;
   for (uint64_t i = 1; i <= chain_length; ++i) {
-    DSTORE_ASSIGN_OR_RETURN(ValuePtr delta, base_->Get(DeltaKey(key, i)));
+    DSTORE_ASSIGN_OR_RETURN(ValuePtr delta, inner_->Get(DeltaKey(key, i)));
     DSTORE_ASSIGN_OR_RETURN(current, ApplyDelta(current, *delta));
   }
   return current;
@@ -24,12 +24,12 @@ StatusOr<Bytes> DeltaStore::Reconstruct(const std::string& key,
 
 Status DeltaStore::PutFull(const std::string& key, const Bytes& value,
                            uint64_t old_chain_length) {
-  DSTORE_RETURN_IF_ERROR(base_->Put(BaseKey(key), MakeValue(Bytes(value))));
+  DSTORE_RETURN_IF_ERROR(inner_->Put(BaseKey(key), MakeValue(Bytes(value))));
   Bytes meta;
   PutVarint64(&meta, 0);
-  DSTORE_RETURN_IF_ERROR(base_->Put(key, MakeValue(std::move(meta))));
+  DSTORE_RETURN_IF_ERROR(inner_->Put(key, MakeValue(std::move(meta))));
   for (uint64_t i = 1; i <= old_chain_length; ++i) {
-    DSTORE_RETURN_IF_ERROR(base_->Delete(DeltaKey(key, i)));
+    DSTORE_RETURN_IF_ERROR(inner_->Delete(DeltaKey(key, i)));
   }
   stats_.actual_put_bytes += value.size();
   ++stats_.full_puts;
@@ -45,7 +45,7 @@ Status DeltaStore::Put(const std::string& key, ValuePtr value) {
   // Determine the current chain length and previous value.
   uint64_t chain_length = 0;
   bool exists = false;
-  auto meta = base_->Get(key);
+  auto meta = inner_->Get(key);
   if (meta.ok()) {
     size_t pos = 0;
     auto parsed = GetVarint64(**meta, &pos);
@@ -82,10 +82,10 @@ Status DeltaStore::Put(const std::string& key, ValuePtr value) {
 
   if (delta_worthwhile) {
     DSTORE_RETURN_IF_ERROR(
-        base_->Put(DeltaKey(key, chain_length + 1), MakeValue(Bytes(delta))));
+        inner_->Put(DeltaKey(key, chain_length + 1), MakeValue(Bytes(delta))));
     Bytes meta_bytes;
     PutVarint64(&meta_bytes, chain_length + 1);
-    DSTORE_RETURN_IF_ERROR(base_->Put(key, MakeValue(std::move(meta_bytes))));
+    DSTORE_RETURN_IF_ERROR(inner_->Put(key, MakeValue(std::move(meta_bytes))));
     stats_.actual_put_bytes += delta.size();
     ++stats_.delta_puts;
   } else {
@@ -97,7 +97,7 @@ Status DeltaStore::Put(const std::string& key, ValuePtr value) {
 
 StatusOr<ValuePtr> DeltaStore::Get(const std::string& key) {
   MutexLock lock(mu_);
-  DSTORE_ASSIGN_OR_RETURN(ValuePtr meta, base_->Get(key));
+  DSTORE_ASSIGN_OR_RETURN(ValuePtr meta, inner_->Get(key));
   size_t pos = 0;
   DSTORE_ASSIGN_OR_RETURN(uint64_t chain_length, GetVarint64(*meta, &pos));
   DSTORE_ASSIGN_OR_RETURN(Bytes value, Reconstruct(key, chain_length));
@@ -107,27 +107,23 @@ StatusOr<ValuePtr> DeltaStore::Get(const std::string& key) {
 Status DeltaStore::Delete(const std::string& key) {
   MutexLock lock(mu_);
   uint64_t chain_length = 0;
-  auto meta = base_->Get(key);
+  auto meta = inner_->Get(key);
   if (meta.ok()) {
     size_t pos = 0;
     auto parsed = GetVarint64(**meta, &pos);
     if (parsed.ok()) chain_length = *parsed;
   }
-  DSTORE_RETURN_IF_ERROR(base_->Delete(key));
-  DSTORE_RETURN_IF_ERROR(base_->Delete(BaseKey(key)));
+  DSTORE_RETURN_IF_ERROR(inner_->Delete(key));
+  DSTORE_RETURN_IF_ERROR(inner_->Delete(BaseKey(key)));
   for (uint64_t i = 1; i <= chain_length; ++i) {
-    DSTORE_RETURN_IF_ERROR(base_->Delete(DeltaKey(key, i)));
+    DSTORE_RETURN_IF_ERROR(inner_->Delete(DeltaKey(key, i)));
   }
   last_value_.erase(key);
   return Status::OK();
 }
 
-StatusOr<bool> DeltaStore::Contains(const std::string& key) {
-  return base_->Contains(key);
-}
-
 StatusOr<std::vector<std::string>> DeltaStore::ListKeys() {
-  DSTORE_ASSIGN_OR_RETURN(std::vector<std::string> raw, base_->ListKeys());
+  DSTORE_ASSIGN_OR_RETURN(std::vector<std::string> raw, inner_->ListKeys());
   // Metadata keys are the logical keys; filter out @base / @delta.N keys.
   std::vector<std::string> keys;
   for (std::string& key : raw) {
@@ -147,7 +143,7 @@ StatusOr<size_t> DeltaStore::Count() {
 Status DeltaStore::Clear() {
   MutexLock lock(mu_);
   last_value_.clear();
-  return base_->Clear();
+  return inner_->Clear();
 }
 
 DeltaStore::TransferStats DeltaStore::GetTransferStats() const {

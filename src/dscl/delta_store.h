@@ -8,7 +8,7 @@
 
 #include "common/sync.h"
 #include "delta/delta.h"
-#include "store/key_value.h"
+#include "store/forwarding_store.h"
 
 namespace dstore {
 
@@ -29,7 +29,7 @@ namespace dstore {
 // Options::max_chain_length; otherwise the full object is written and the
 // chain collapsed. Transfer accounting (logical vs actual bytes) backs the
 // delta-encoding benchmark.
-class DeltaStore : public KeyValueStore {
+class DeltaStore : public PerKeyStore {
  public:
   struct Options {
     // Collapse the chain after this many deltas (reads must fetch base +
@@ -55,11 +55,10 @@ class DeltaStore : public KeyValueStore {
   Status Put(const std::string& key, ValuePtr value) override;
   StatusOr<ValuePtr> Get(const std::string& key) override;
   Status Delete(const std::string& key) override;
-  StatusOr<bool> Contains(const std::string& key) override;
   StatusOr<std::vector<std::string>> ListKeys() override;
   StatusOr<size_t> Count() override;
   Status Clear() override;
-  std::string Name() const override { return base_->Name() + "+delta"; }
+  std::string Name() const override { return inner_->Name() + "+delta"; }
 
   TransferStats GetTransferStats() const;
 
@@ -76,7 +75,6 @@ class DeltaStore : public KeyValueStore {
   Status PutFull(const std::string& key, const Bytes& value,
                  uint64_t old_chain_length) REQUIRES(mu_);
 
-  std::shared_ptr<KeyValueStore> base_;
   Options options_;
 
   mutable Mutex mu_;

@@ -8,12 +8,12 @@ EnhancedStore::EnhancedStore(std::shared_ptr<KeyValueStore> base,
                              std::shared_ptr<ExpiringCache> cache,
                              std::shared_ptr<TransformChain> chain,
                              const Options& options)
-    : base_(std::move(base)),
+    : PerKeyStore(std::move(base)),
       cache_(std::move(cache)),
       chain_(std::move(chain)),
       options_(options) {
   auto* registry = obs::MetricsRegistry::Default();
-  const obs::Labels labels = {{"store", base_->Name()}};
+  const obs::Labels labels = {{"store", inner_->Name()}};
   obs_hits_ = registry->GetCounter(
       "dstore_enhanced_cache_hits_total", labels,
       "Fresh integrated-cache hits served without server contact.");
@@ -56,7 +56,7 @@ Status EnhancedStore::Put(const std::string& key, ValuePtr value) {
   DSTORE_ASSIGN_OR_RETURN(Bytes encoded, Encode(*value));
   {
     obs::Span base_span("base.put", obs::Stage::kBackend);
-    DSTORE_RETURN_IF_ERROR(base_->Put(key, MakeValue(Bytes(encoded))));
+    DSTORE_RETURN_IF_ERROR(inner_->Put(key, MakeValue(Bytes(encoded))));
   }
 
   if (cache_ == nullptr) return Status::OK();
@@ -74,7 +74,7 @@ Status EnhancedStore::Put(const std::string& key, ValuePtr value) {
 StatusOr<ValuePtr> EnhancedStore::FetchAndCache(const std::string& key) {
   auto encoded = [&] {
     obs::Span span("base.get", obs::Stage::kBackend);
-    return base_->Get(key);
+    return inner_->Get(key);
   }();
   DSTORE_RETURN_IF_ERROR(encoded.status());
   DSTORE_ASSIGN_OR_RETURN(ValuePtr decoded, Decode(**encoded));
@@ -89,7 +89,7 @@ StatusOr<ValuePtr> EnhancedStore::Get(const std::string& key) {
   if (cache_ == nullptr) {
     auto encoded = [&] {
       obs::Span span("base.get", obs::Stage::kBackend);
-      return base_->Get(key);
+      return inner_->Get(key);
     }();
     DSTORE_RETURN_IF_ERROR(encoded.status());
     return Decode(**encoded);
@@ -113,7 +113,7 @@ StatusOr<ValuePtr> EnhancedStore::Get(const std::string& key) {
     obs_revalidations_->Increment();
     auto conditional = [&] {
       obs::Span span("base.conditional_get", obs::Stage::kBackend);
-      return base_->GetIfChanged(key, entry->etag);
+      return inner_->GetIfChanged(key, entry->etag);
     }();
     if (conditional.ok()) {
       if (conditional->not_modified) {
@@ -142,30 +142,24 @@ StatusOr<ValuePtr> EnhancedStore::Get(const std::string& key) {
 }
 
 Status EnhancedStore::Delete(const std::string& key) {
-  DSTORE_RETURN_IF_ERROR(base_->Delete(key));
+  DSTORE_RETURN_IF_ERROR(inner_->Delete(key));
   if (cache_ != nullptr) return cache_->Delete(key);
   return Status::OK();
 }
 
 StatusOr<bool> EnhancedStore::Contains(const std::string& key) {
   if (cache_ != nullptr && cache_->Contains(key)) return true;
-  return base_->Contains(key);
+  return inner_->Contains(key);
 }
-
-StatusOr<std::vector<std::string>> EnhancedStore::ListKeys() {
-  return base_->ListKeys();
-}
-
-StatusOr<size_t> EnhancedStore::Count() { return base_->Count(); }
 
 Status EnhancedStore::Clear() {
-  DSTORE_RETURN_IF_ERROR(base_->Clear());
+  DSTORE_RETURN_IF_ERROR(inner_->Clear());
   if (cache_ != nullptr) cache_->Clear();
   return Status::OK();
 }
 
 std::string EnhancedStore::Name() const {
-  std::string name = base_->Name() + "+enhanced";
+  std::string name = inner_->Name() + "+enhanced";
   if (chain_ != nullptr && !chain_->empty()) {
     name += "[" + chain_->Describe() + "]";
   }

@@ -9,7 +9,7 @@
 #include "common/clock.h"
 #include "dscl/transformer.h"
 #include "obs/metrics.h"
-#include "store/key_value.h"
+#include "store/forwarding_store.h"
 
 namespace dstore {
 
@@ -40,7 +40,7 @@ struct EnhancedStoreStats {
 //  * The cache stores decoded (plaintext) values by default for the fast
 //    in-process hit path; set Options::cache_encoded to keep cache contents
 //    compressed/encrypted at rest (paper Section III security discussion).
-class EnhancedStore : public KeyValueStore {
+class EnhancedStore : public PerKeyStore {
  public:
   enum class WritePolicy {
     kWriteThrough,  // update the cache with the new value on Put
@@ -73,14 +73,11 @@ class EnhancedStore : public KeyValueStore {
   StatusOr<ValuePtr> Get(const std::string& key) override;
   Status Delete(const std::string& key) override;
   StatusOr<bool> Contains(const std::string& key) override;
-  StatusOr<std::vector<std::string>> ListKeys() override;
-  StatusOr<size_t> Count() override;
   Status Clear() override;
   std::string Name() const override;
 
   EnhancedStoreStats Stats() const;
   ExpiringCache* cache() { return cache_.get(); }
-  KeyValueStore* base() { return base_.get(); }
 
   // Explicit cache control for applications that need fine-grained access
   // alongside the transparent path (the paper recommends combining the
@@ -95,7 +92,6 @@ class EnhancedStore : public KeyValueStore {
   Status CacheValue(const std::string& key, const ValuePtr& decoded,
                     const Bytes& encoded, const std::string& etag);
 
-  std::shared_ptr<KeyValueStore> base_;
   std::shared_ptr<ExpiringCache> cache_;
   std::shared_ptr<TransformChain> chain_;
   Options options_;

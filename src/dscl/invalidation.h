@@ -8,7 +8,7 @@
 
 #include "cache/cache.h"
 #include "common/sync.h"
-#include "store/key_value.h"
+#include "store/forwarding_store.h"
 
 namespace dstore {
 
@@ -61,14 +61,14 @@ class CacheInvalidationSubscription {
   InvalidationBus::Subscription subscription_;
 };
 
-// KeyValueStore decorator that publishes every Put/Delete/Clear on a bus.
-// Wrap the SHARED base store with this once, then hand the wrapped store to
-// each enhanced client.
-class InvalidatingStore : public KeyValueStore {
+// KeyValueStore decorator that publishes every Put/MultiPut/Delete/Clear on a
+// bus. Wrap the SHARED base store with this once, then hand the wrapped store
+// to each enhanced client.
+class InvalidatingStore : public ForwardingStore {
  public:
   InvalidatingStore(std::shared_ptr<KeyValueStore> inner,
                     std::shared_ptr<InvalidationBus> bus)
-      : inner_(std::move(inner)), bus_(std::move(bus)) {}
+      : ForwardingStore(std::move(inner)), bus_(std::move(bus)) {}
 
   Status Put(const std::string& key, ValuePtr value) override {
     DSTORE_RETURN_IF_ERROR(inner_->Put(key, std::move(value)));
@@ -76,8 +76,13 @@ class InvalidatingStore : public KeyValueStore {
     return Status::OK();
   }
 
-  StatusOr<ValuePtr> Get(const std::string& key) override {
-    return inner_->Get(key);
+  // Publishes every key, even when the batch fails part-way: some writes
+  // may have landed, and a spurious eviction is harmless.
+  Status MultiPut(
+      const std::vector<std::pair<std::string, ValuePtr>>& entries) override {
+    Status status = inner_->MultiPut(entries);
+    for (const auto& entry : entries) bus_->Publish(entry.first);
+    return status;
   }
 
   Status Delete(const std::string& key) override {
@@ -86,14 +91,6 @@ class InvalidatingStore : public KeyValueStore {
     return Status::OK();
   }
 
-  StatusOr<bool> Contains(const std::string& key) override {
-    return inner_->Contains(key);
-  }
-  StatusOr<std::vector<std::string>> ListKeys() override {
-    return inner_->ListKeys();
-  }
-  StatusOr<size_t> Count() override { return inner_->Count(); }
-
   Status Clear() override {
     DSTORE_ASSIGN_OR_RETURN(std::vector<std::string> keys, inner_->ListKeys());
     DSTORE_RETURN_IF_ERROR(inner_->Clear());
@@ -101,17 +98,11 @@ class InvalidatingStore : public KeyValueStore {
     return Status::OK();
   }
 
-  StatusOr<ConditionalGetResult> GetIfChanged(
-      const std::string& key, const std::string& etag) override {
-    return inner_->GetIfChanged(key, etag);
-  }
-
   std::string Name() const override { return inner_->Name() + "+inval"; }
 
   InvalidationBus* bus() { return bus_.get(); }
 
  private:
-  std::shared_ptr<KeyValueStore> inner_;
   std::shared_ptr<InvalidationBus> bus_;
 };
 

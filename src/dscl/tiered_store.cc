@@ -4,7 +4,7 @@ namespace dstore {
 
 Status TieredStore::Put(const std::string& key, ValuePtr value) {
   if (value == nullptr) return Status::InvalidArgument("null value");
-  DSTORE_RETURN_IF_ERROR(back_->Put(key, value));
+  DSTORE_RETURN_IF_ERROR(inner_->Put(key, value));
   switch (policy_) {
     case WritePolicy::kWriteThrough:
       return front_->Put(key, std::move(value));
@@ -24,24 +24,24 @@ StatusOr<ValuePtr> TieredStore::Get(const std::string& key) {
     // Front tier unavailable is not fatal; fall back to the main store.
   }
   front_misses_.fetch_add(1, std::memory_order_relaxed);
-  DSTORE_ASSIGN_OR_RETURN(ValuePtr value, back_->Get(key));
+  DSTORE_ASSIGN_OR_RETURN(ValuePtr value, inner_->Get(key));
   front_->Put(key, value).ok();  // best effort populate
   return value;
 }
 
 Status TieredStore::Delete(const std::string& key) {
-  DSTORE_RETURN_IF_ERROR(back_->Delete(key));
+  DSTORE_RETURN_IF_ERROR(inner_->Delete(key));
   return front_->Delete(key);
 }
 
 StatusOr<bool> TieredStore::Contains(const std::string& key) {
   auto in_front = front_->Contains(key);
   if (in_front.ok() && *in_front) return true;
-  return back_->Contains(key);
+  return inner_->Contains(key);
 }
 
 Status TieredStore::Clear() {
-  DSTORE_RETURN_IF_ERROR(back_->Clear());
+  DSTORE_RETURN_IF_ERROR(inner_->Clear());
   return front_->Clear();
 }
 

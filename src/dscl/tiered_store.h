@@ -5,7 +5,7 @@
 #include <memory>
 #include <string>
 
-#include "store/key_value.h"
+#include "store/forwarding_store.h"
 
 namespace dstore {
 
@@ -14,12 +14,13 @@ namespace dstore {
 // by the UDSM can function as a cache or secondary repository for another
 // data store". TieredStore composes two KeyValueStores: reads try `front`
 // first and fall back to `back`, populating `front` on a miss; writes go to
-// both (write-through) or invalidate `front`.
+// both (write-through) or invalidate `front`. `back` is the forwarded inner
+// store, so ListKeys and Count answer from it.
 //
 // Unlike EnhancedStore this deliberately has no expiration management — the
 // paper notes the UDSM-level approach "lacks some of the caching features
 // provided by the DSCL such as expiration time management".
-class TieredStore : public KeyValueStore {
+class TieredStore : public PerKeyStore {
  public:
   enum class WritePolicy { kWriteThrough, kInvalidate };
 
@@ -31,26 +32,23 @@ class TieredStore : public KeyValueStore {
   TieredStore(std::shared_ptr<KeyValueStore> front,
               std::shared_ptr<KeyValueStore> back,
               WritePolicy policy = WritePolicy::kWriteThrough)
-      : front_(std::move(front)), back_(std::move(back)), policy_(policy) {}
+      : PerKeyStore(std::move(back)),
+        front_(std::move(front)),
+        policy_(policy) {}
 
   Status Put(const std::string& key, ValuePtr value) override;
   StatusOr<ValuePtr> Get(const std::string& key) override;
   Status Delete(const std::string& key) override;
   StatusOr<bool> Contains(const std::string& key) override;
-  StatusOr<std::vector<std::string>> ListKeys() override {
-    return back_->ListKeys();
-  }
-  StatusOr<size_t> Count() override { return back_->Count(); }
   Status Clear() override;
   std::string Name() const override {
-    return back_->Name() + "<-" + front_->Name();
+    return inner_->Name() + "<-" + front_->Name();
   }
 
   Stats GetStats() const;
 
  private:
   std::shared_ptr<KeyValueStore> front_;
-  std::shared_ptr<KeyValueStore> back_;
   WritePolicy policy_;
   mutable std::atomic<uint64_t> front_hits_{0};
   mutable std::atomic<uint64_t> front_misses_{0};

@@ -6,7 +6,7 @@
 
 #include "common/clock.h"
 #include "fault/fault.h"
-#include "store/key_value.h"
+#include "store/forwarding_store.h"
 
 namespace dstore {
 
@@ -27,12 +27,12 @@ namespace dstore {
 // With a plan whose rules never fire (or fire with probability 0) the
 // decorator is behaviour-identical to the bare store — enforced by the
 // fault-wrapped rows of kv_conformance_test.
-class FaultInjectingStore : public KeyValueStore {
+class FaultInjectingStore : public ForwardingStore {
  public:
   FaultInjectingStore(std::shared_ptr<KeyValueStore> inner,
                       std::shared_ptr<fault::FaultPlan> plan,
                       std::string site = "store", Clock* clock = nullptr)
-      : inner_(std::move(inner)),
+      : ForwardingStore(std::move(inner)),
         plan_(std::move(plan)),
         site_(std::move(site)),
         clock_(clock != nullptr ? clock : RealClock::Default()) {}
@@ -53,7 +53,6 @@ class FaultInjectingStore : public KeyValueStore {
   std::string Name() const override { return inner_->Name() + "+fault"; }
 
   const std::shared_ptr<fault::FaultPlan>& plan() const { return plan_; }
-  KeyValueStore* inner() const { return inner_.get(); }
   uint64_t injected_failures() const { return plan_->injected_total(); }
 
  private:
@@ -61,7 +60,6 @@ class FaultInjectingStore : public KeyValueStore {
   // fired fault (already counted/traced) for the caller to act on.
   std::optional<fault::Fault> Hit(const char* op);
 
-  std::shared_ptr<KeyValueStore> inner_;
   std::shared_ptr<fault::FaultPlan> plan_;
   std::string site_;
   Clock* clock_;

@@ -62,7 +62,8 @@ StatusOr<std::unique_ptr<ReplicaGroup>> ReplicaGroup::Create(
       "dstore_replica_reads_total", labels, "Replicated reads served.");
   group->read_repair_total_ = registry->GetCounter(
       "dstore_replica_read_repair_total", labels,
-      "Divergent replica values rewritten by read repair.");
+      "Divergent replica values seen by read-quorum compares (RepairPass "
+      "fixes them).");
   group->repair_total_ = registry->GetCounter(
       "dstore_replica_repair_total", labels,
       "Keys repaired by anti-entropy passes.");
@@ -508,21 +509,17 @@ StatusOr<ValuePtr> ReplicaGroup::Read(const std::string& key,
   reads_total_->Increment();
 
   // The most-caught-up successful read is authoritative (candidates were
-  // sorted); divergent peers — normal lag or silent corruption alike — are
-  // rewritten when read repair is on.
+  // sorted). A divergent peer — normal lag or silent corruption alike — is
+  // only counted: rewriting it here would bypass the group log and the
+  // peer's watermark, and could put back a value older than a write that
+  // landed on the peer after this read. Log replay catches lagging peers up
+  // in order; RepairPass fixes the rest.
   const ReadResult& authority = results.front();
-  if (options_.read_repair) {
-    for (size_t i = 1; i < results.size(); ++i) {
-      const ReadResult& other = results[i];
-      const bool diverged =
-          other.found != authority.found ||
-          (other.found && *other.value != *authority.value);
-      if (!diverged) continue;
-      KeyValueStore* store = other.candidate.transport->store();
-      const Status repaired = authority.found
-                                  ? store->Put(key, authority.value)
-                                  : store->Delete(key);
-      if (repaired.ok()) read_repair_total_->Increment();
+  for (size_t i = 1; i < results.size(); ++i) {
+    const ReadResult& other = results[i];
+    if (other.found != authority.found ||
+        (other.found && *other.value != *authority.value)) {
+      read_repair_total_->Increment();
     }
   }
   if (!authority.found) return Status::NotFound("no such key");

@@ -45,8 +45,9 @@ namespace replica {
 //    are rejected (replicas remember the highest accepted epoch — stale
 //    epochs answer FencedStatus even from a different group handle).
 //  * Reads: served by the most-caught-up live replica that passes its
-//    circuit breaker, falling over on transient errors; `read_quorum`
-//    replicas are compared and divergence is read-repaired when enabled.
+//    circuit breaker, falling over on transient errors; with `read_repair`
+//    on, `read_quorum` replicas are compared and divergence is counted
+//    (never rewritten on the read path — RepairPass is the one fixer).
 //    A session min-seq gate (see session.h) keeps read-your-writes across
 //    failover: only replicas at or past the caller's high-water mark answer.
 //  * Anti-entropy: RepairPass compares Merkle-style bucketed digests of the
@@ -67,7 +68,8 @@ class ReplicaGroup {
     // Replicas that must have applied a write before it is acked (the
     // primary counts as one). 1 = ack on primary apply, replicate async.
     int write_quorum = 2;
-    // Replicas consulted (and compared) per read.
+    // Replicas consulted (and compared) per read when `read_repair` is on;
+    // divergences are counted in dstore_replica_read_repair_total.
     int read_quorum = 2;
     bool read_repair = true;
     // Promote automatically after this many consecutive transient primary

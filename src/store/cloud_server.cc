@@ -160,23 +160,17 @@ HttpResponse CloudStoreServer::HandleHttpRequest(const HttpRequest& request) {
                          {{"method", request.method}},
                          "Cloud store data-plane requests by HTTP method.")
             ->Increment();
-        if (admit::CurrentDeadline().expired()) {
-          // Admitted, but the budget ran out while queued; answer 504
-          // without doing the work or paying the WAN delay.
-          response = MakeResponse(504, "Deadline Expired");
-        } else {
-          {
-            obs::Span handle_span("server.handle", obs::Stage::kBackend);
-            response = HandleRequest(request);
-          }
-          // Inject the WAN delay: model the round trip plus transfer of
-          // both bodies before the response reaches the client.
-          if (latency_ != nullptr) {
-            obs::Span wan_span("server.wan", obs::Stage::kNetwork);
-            const int64_t delay = latency_->SampleNanos(
-                request.body.size() + response.body.size());
-            RealClock::Default()->SleepFor(delay);
-          }
+        {
+          obs::Span handle_span("server.handle", obs::Stage::kBackend);
+          response = HandleRequest(request);
+        }
+        // Inject the WAN delay: model the round trip plus transfer of both
+        // bodies before the response reaches the client.
+        if (latency_ != nullptr) {
+          obs::Span wan_span("server.wan", obs::Stage::kNetwork);
+          const int64_t delay = latency_->SampleNanos(request.body.size() +
+                                                      response.body.size());
+          RealClock::Default()->SleepFor(delay);
         }
         request_ms_->Record(watch.ElapsedMillis());
       }

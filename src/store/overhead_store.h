@@ -5,7 +5,7 @@
 #include <memory>
 #include <string>
 
-#include "store/key_value.h"
+#include "store/forwarding_store.h"
 
 namespace dstore {
 
@@ -24,7 +24,7 @@ namespace dstore {
 // The delay is implemented as a calibrated spin (not sleep_for) because
 // sub-millisecond sleeps have scheduler-quantum jitter that would swamp the
 // modeled constant.
-class OverheadStore : public KeyValueStore {
+class OverheadStore : public PerKeyStore {
  public:
   struct Overheads {
     int64_t per_op_nanos = 0;
@@ -32,7 +32,7 @@ class OverheadStore : public KeyValueStore {
   };
 
   OverheadStore(std::shared_ptr<KeyValueStore> inner, Overheads overheads)
-      : inner_(std::move(inner)), overheads_(overheads) {}
+      : PerKeyStore(std::move(inner)), overheads_(overheads) {}
 
   Status Put(const std::string& key, ValuePtr value) override {
     Delay(value ? value->size() : 0);
@@ -59,15 +59,11 @@ class OverheadStore : public KeyValueStore {
     Delay(0);
     return inner_->Count();
   }
-  Status Clear() override { return inner_->Clear(); }
   StatusOr<ConditionalGetResult> GetIfChanged(
       const std::string& key, const std::string& etag) override {
     Delay(0);
     return inner_->GetIfChanged(key, etag);
   }
-  std::string Name() const override { return inner_->Name(); }
-
-  KeyValueStore* inner() { return inner_.get(); }
 
  private:
   void Delay(size_t bytes) const {
@@ -83,7 +79,6 @@ class OverheadStore : public KeyValueStore {
     }
   }
 
-  std::shared_ptr<KeyValueStore> inner_;
   Overheads overheads_;
 };
 

@@ -6,23 +6,11 @@
 
 namespace dstore {
 
-namespace {
-
-// Uniform helpers so WithRetries can treat Status and StatusOr<T> alike.
-inline const Status& StatusOf(const Status& s) { return s; }
-template <typename T>
-inline const Status& StatusOf(const StatusOr<T>& s) {
-  return s.status();
-}
-
-}  // namespace
-
-template <typename R, typename Op>
-R RetryingStore::WithRetries(Op&& op) {
+Status RetryingStore::Around(StoreOp, const OpCall& call) {
   int64_t backoff = options_.initial_backoff_nanos;
-  R result = op();
+  Status result = call();
   for (int attempt = 1;
-       attempt < options_.max_attempts && IsTransient(StatusOf(result));
+       attempt < options_.max_attempts && IsTransient(result);
        ++attempt) {
     int64_t sleep_nanos = std::min(backoff, options_.max_backoff_nanos);
     if (options_.full_jitter && sleep_nanos > 0) {
@@ -48,9 +36,9 @@ R RetryingStore::WithRetries(Op&& op) {
     obs_backoff_nanos_->Increment(static_cast<uint64_t>(sleep_nanos));
     backoff = static_cast<int64_t>(static_cast<double>(backoff) *
                                    options_.backoff_multiplier);
-    result = op();
+    result = call();
   }
-  if (IsTransient(StatusOf(result))) {
+  if (IsTransient(result)) {
     {
       MutexLock lock(mu_);
       ++stats_.exhausted;
@@ -58,35 +46,6 @@ R RetryingStore::WithRetries(Op&& op) {
     obs_exhausted_->Increment();
   }
   return result;
-}
-
-Status RetryingStore::Put(const std::string& key, ValuePtr value) {
-  return WithRetries<Status>([&] { return inner_->Put(key, value); });
-}
-
-StatusOr<ValuePtr> RetryingStore::Get(const std::string& key) {
-  return WithRetries<StatusOr<ValuePtr>>([&] { return inner_->Get(key); });
-}
-
-Status RetryingStore::Delete(const std::string& key) {
-  return WithRetries<Status>([&] { return inner_->Delete(key); });
-}
-
-StatusOr<bool> RetryingStore::Contains(const std::string& key) {
-  return WithRetries<StatusOr<bool>>([&] { return inner_->Contains(key); });
-}
-
-StatusOr<std::vector<std::string>> RetryingStore::ListKeys() {
-  return WithRetries<StatusOr<std::vector<std::string>>>(
-      [&] { return inner_->ListKeys(); });
-}
-
-StatusOr<size_t> RetryingStore::Count() {
-  return WithRetries<StatusOr<size_t>>([&] { return inner_->Count(); });
-}
-
-Status RetryingStore::Clear() {
-  return WithRetries<Status>([&] { return inner_->Clear(); });
 }
 
 RetryingStore::RetryStats RetryingStore::GetRetryStats() const {

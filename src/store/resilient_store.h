@@ -8,7 +8,7 @@
 #include "common/random.h"
 #include "common/sync.h"
 #include "obs/metrics.h"
-#include "store/key_value.h"
+#include "store/forwarding_store.h"
 
 namespace dstore {
 
@@ -25,7 +25,7 @@ namespace dstore {
 //  - An ambient admit::Deadline bounds the whole retry loop: no further
 //    attempt starts once the budget cannot cover the next backoff sleep,
 //    and the loop returns the last real error rather than burning budget.
-class RetryingStore : public KeyValueStore {
+class RetryingStore : public WrappingStore {
  public:
   struct Options {
     int max_attempts = 3;
@@ -51,7 +51,7 @@ class RetryingStore : public KeyValueStore {
 
   RetryingStore(std::shared_ptr<KeyValueStore> inner, const Options& options,
                 Clock* clock = nullptr)
-      : inner_(std::move(inner)),
+      : WrappingStore(std::move(inner)),
         options_(options),
         clock_(clock != nullptr ? clock : RealClock::Default()),
         rng_(options.jitter_seed) {
@@ -70,27 +70,19 @@ class RetryingStore : public KeyValueStore {
   explicit RetryingStore(std::shared_ptr<KeyValueStore> inner)
       : RetryingStore(std::move(inner), Options()) {}
 
-  Status Put(const std::string& key, ValuePtr value) override;
-  StatusOr<ValuePtr> Get(const std::string& key) override;
-  Status Delete(const std::string& key) override;
-  StatusOr<bool> Contains(const std::string& key) override;
-  StatusOr<std::vector<std::string>> ListKeys() override;
-  StatusOr<size_t> Count() override;
-  Status Clear() override;
   std::string Name() const override { return inner_->Name() + "+retry"; }
 
   RetryStats GetRetryStats() const;
+
+ protected:
+  // Runs `call` with retry/backoff.
+  Status Around(StoreOp op, const OpCall& call) override;
 
  private:
   static bool IsTransient(const Status& status) {
     return status.IsUnavailable() || status.IsIOError() || status.IsTimedOut();
   }
 
-  // Runs `op` with retry/backoff. R is Status or StatusOr<T>.
-  template <typename R, typename Op>
-  R WithRetries(Op&& op);
-
-  std::shared_ptr<KeyValueStore> inner_;
   Options options_;
   Clock* clock_;
   mutable Mutex mu_;

@@ -172,67 +172,18 @@ Status PerformanceMonitor::LoadFrom(KeyValueStore* store,
   return Status::OK();
 }
 
-namespace {
-
-// Times `fn` and records the result under (store, op). Also opens a trace
-// span so a sampled request shows the monitored operation as one tree node.
-template <typename Fn>
-auto Timed(PerformanceMonitor* monitor, const Clock* clock,
-           const std::string& store, const char* op, Fn&& fn) {
-  obs::Span span(store + "." + op);
-  Stopwatch watch(clock);
-  auto result = fn();
-  bool ok;
-  if constexpr (std::is_same_v<decltype(result), Status>) {
-    ok = result.ok();
-  } else {
-    ok = result.ok();
-  }
-  monitor->Record(store, op, watch.ElapsedMillis(), ok);
-  return result;
-}
-
-}  // namespace
-
-Status MonitoredStore::Put(const std::string& key, ValuePtr value) {
-  return Timed(monitor_.get(), clock_, Name(), "put",
-               [&] { return inner_->Put(key, std::move(value)); });
-}
-
-StatusOr<ValuePtr> MonitoredStore::Get(const std::string& key) {
-  return Timed(monitor_.get(), clock_, Name(), "get",
-               [&] { return inner_->Get(key); });
-}
-
-Status MonitoredStore::Delete(const std::string& key) {
-  return Timed(monitor_.get(), clock_, Name(), "delete",
-               [&] { return inner_->Delete(key); });
-}
-
-StatusOr<bool> MonitoredStore::Contains(const std::string& key) {
-  return Timed(monitor_.get(), clock_, Name(), "contains",
-               [&] { return inner_->Contains(key); });
-}
-
-StatusOr<std::vector<std::string>> MonitoredStore::ListKeys() {
-  return Timed(monitor_.get(), clock_, Name(), "list",
-               [&] { return inner_->ListKeys(); });
-}
-
-StatusOr<size_t> MonitoredStore::Count() {
-  return Timed(monitor_.get(), clock_, Name(), "count",
-               [&] { return inner_->Count(); });
-}
-
-Status MonitoredStore::Clear() {
-  return Timed(monitor_.get(), clock_, Name(), "clear",
-               [&] { return inner_->Clear(); });
-}
-
-StatusOr<ConditionalGetResult> MonitoredStore::GetIfChanged(
-    const std::string& key, const std::string& etag) {
-  return Timed(monitor_.get(), clock_, Name(), "conditional_get",
-               [&] { return inner_->GetIfChanged(key, etag); });
+Status MonitoredStore::Around(StoreOp op, const OpCall& call) {
+  // Published metric labels: these two differ from StoreOpName and stay.
+  const char* label = op == StoreOp::kListKeys       ? "list"
+                      : op == StoreOp::kGetIfChanged ? "conditional_get"
+                                                     : StoreOpName(op);
+  const std::string store = Name();
+  // A sampled request shows the monitored operation as one tree node.
+  obs::Span span(store + "." + label);
+  Stopwatch watch(clock_);
+  Status status = call();
+  monitor_->Record(store, label, watch.ElapsedMillis(), status.ok());
+  return status;
 }
 
 }  // namespace dstore

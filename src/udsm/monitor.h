@@ -12,7 +12,7 @@
 #include "common/status.h"
 #include "common/sync.h"
 #include "obs/metrics.h"
-#include "store/key_value.h"
+#include "store/forwarding_store.h"
 
 namespace dstore {
 
@@ -124,30 +124,20 @@ class PerformanceMonitor {
 // KeyValueStore decorator that times every operation into a
 // PerformanceMonitor — how the UDSM monitors any store through the common
 // interface without per-store code.
-class MonitoredStore : public KeyValueStore {
+class MonitoredStore : public WrappingStore {
  public:
   MonitoredStore(std::shared_ptr<KeyValueStore> inner,
                  std::shared_ptr<PerformanceMonitor> monitor,
                  const Clock* clock = nullptr)
-      : inner_(std::move(inner)),
+      : WrappingStore(std::move(inner)),
         monitor_(std::move(monitor)),
         clock_(clock != nullptr ? clock : RealClock::Default()) {}
 
-  Status Put(const std::string& key, ValuePtr value) override;
-  StatusOr<ValuePtr> Get(const std::string& key) override;
-  Status Delete(const std::string& key) override;
-  StatusOr<bool> Contains(const std::string& key) override;
-  StatusOr<std::vector<std::string>> ListKeys() override;
-  StatusOr<size_t> Count() override;
-  Status Clear() override;
-  StatusOr<ConditionalGetResult> GetIfChanged(const std::string& key,
-                                              const std::string& etag) override;
-  std::string Name() const override { return inner_->Name(); }
-
-  KeyValueStore* inner() { return inner_.get(); }
+ protected:
+  // Times `call` and records it under (Name(), op label).
+  Status Around(StoreOp op, const OpCall& call) override;
 
  private:
-  std::shared_ptr<KeyValueStore> inner_;
   std::shared_ptr<PerformanceMonitor> monitor_;
   const Clock* clock_;
 };

@@ -329,7 +329,7 @@ TEST(AdmitOverloadTest, PipelinedStormIsShedPerRequest) {
     EXPECT_EQ(response->status_code, 200);
   }
 
-  int ok_count = 0, shed_count = 0, expired_count = 0;
+  int ok_count = 0, shed_count = 0;
   HttpConnection conn(*std::move(socket));
   for (int i = 0; i < kBurst; ++i) {
     auto response = conn.ReadResponse();
@@ -337,19 +337,15 @@ TEST(AdmitOverloadTest, PipelinedStormIsShedPerRequest) {
         << "response " << i << ": " << response.status().ToString();
     if (response->status_code == 200) {
       ++ok_count;
-    } else if (response->headers.count("x-dstore-shed") != 0) {
-      // Queue shed: overload (503) or expired-while-queued (504), never a
-      // status a client could mistake for a data-plane result.
-      EXPECT_TRUE(response->status_code == 503 || response->status_code == 504)
-          << response->status_code;
-      ++shed_count;
-    } else {
-      // Admitted, but the deadline ran out while queued.
-      EXPECT_EQ(response->status_code, 504) << "response " << i;
-      ++expired_count;
+      continue;
     }
+    // Every other answer is a metered queue shed (503 overload, 504
+    // deadline), never a status a client could mistake for a data result.
+    EXPECT_EQ(response->headers.count("x-dstore-shed"), 1u) << "response " << i;
+    EXPECT_TRUE(response->status_code == 503 || response->status_code == 504)
+        << response->status_code;
+    ++shed_count;
   }
-  EXPECT_EQ(ok_count + shed_count + expired_count, kBurst);
   // One slot and a 15ms stall against a 25ms budget: the first request
   // succeeds, and a burst this deep must overflow the two queue positions.
   EXPECT_GE(ok_count, 1);

@@ -20,6 +20,7 @@
 #include "admit/token_bucket.h"
 #include "common/clock.h"
 #include "fault/fault.h"
+#include "store/forwarding_store.h"
 #include "store/memory_store.h"
 
 namespace dstore {
@@ -37,71 +38,43 @@ using admit::TokenBucket;
 
 // A store that fails every operation with a fixed status — drives breakers
 // and limiters without fault-plan machinery.
-class AlwaysFailStore : public KeyValueStore {
+class AlwaysFailStore : public WrappingStore {
  public:
-  explicit AlwaysFailStore(Status status) : status_(std::move(status)) {}
+  explicit AlwaysFailStore(Status status)
+      : WrappingStore(std::make_shared<MemoryStore>()),
+        status_(std::move(status)) {}
 
-  Status Put(const std::string&, ValuePtr) override { return Fail(); }
-  StatusOr<ValuePtr> Get(const std::string&) override { return Fail(); }
-  Status Delete(const std::string&) override { return Fail(); }
-  StatusOr<bool> Contains(const std::string&) override { return Fail(); }
-  StatusOr<std::vector<std::string>> ListKeys() override { return Fail(); }
-  StatusOr<size_t> Count() override { return Fail(); }
-  Status Clear() override { return Fail(); }
   std::string Name() const override { return "alwaysfail"; }
-
   int calls() const { return calls_; }
 
- private:
-  Status Fail() {
+ protected:
+  Status Around(StoreOp, const OpCall&) override {
     ++calls_;
     return status_;
   }
 
+ private:
   Status status_;
   int calls_ = 0;
 };
 
 // A store that advances a SimulatedClock during every operation — models a
 // backend slower than the caller's budget.
-class SlowStore : public KeyValueStore {
+class SlowStore : public WrappingStore {
  public:
   SlowStore(std::shared_ptr<KeyValueStore> inner, SimulatedClock* clock,
             int64_t op_nanos)
-      : inner_(std::move(inner)), clock_(clock), op_nanos_(op_nanos) {}
+      : WrappingStore(std::move(inner)), clock_(clock), op_nanos_(op_nanos) {}
 
-  Status Put(const std::string& key, ValuePtr value) override {
-    clock_->Advance(op_nanos_);
-    return inner_->Put(key, value);
-  }
-  StatusOr<ValuePtr> Get(const std::string& key) override {
-    clock_->Advance(op_nanos_);
-    return inner_->Get(key);
-  }
-  Status Delete(const std::string& key) override {
-    clock_->Advance(op_nanos_);
-    return inner_->Delete(key);
-  }
-  StatusOr<bool> Contains(const std::string& key) override {
-    clock_->Advance(op_nanos_);
-    return inner_->Contains(key);
-  }
-  StatusOr<std::vector<std::string>> ListKeys() override {
-    clock_->Advance(op_nanos_);
-    return inner_->ListKeys();
-  }
-  StatusOr<size_t> Count() override {
-    clock_->Advance(op_nanos_);
-    return inner_->Count();
-  }
-  Status Clear() override {
-    clock_->Advance(op_nanos_);
-    return inner_->Clear();
-  }
   std::string Name() const override { return inner_->Name() + "+slow"; }
 
+ protected:
+  Status Around(StoreOp, const OpCall& call) override {
+    clock_->Advance(op_nanos_);
+    return call();
+  }
+
  private:
-  std::shared_ptr<KeyValueStore> inner_;
   SimulatedClock* clock_;
   int64_t op_nanos_;
 };

@@ -26,6 +26,7 @@
 #include "net/latency_model.h"
 #include "store/cloud_client.h"
 #include "store/cloud_server.h"
+#include "store/forwarding_store.h"
 #include "store/resilient_store.h"
 
 namespace dstore {
@@ -76,38 +77,19 @@ constexpr char kQueueFaultSpec[] = "site=admit.queue op=enter p=0.1 limit=30";
 constexpr char kBreakerFaultSpec[] =
     "site=admit.breaker op=admit after=100 every=150 limit=3";
 
-// Runs every inner operation under a fresh ScopedDeadline, the way a
+// Runs every operation under a fresh ScopedDeadline, the way a
 // deadline-bounded caller would.
-class DeadlinePerOpStore : public KeyValueStore {
+class DeadlinePerOpStore : public WrappingStore {
  public:
-  explicit DeadlinePerOpStore(std::shared_ptr<KeyValueStore> inner)
-      : inner_(std::move(inner)) {}
+  using WrappingStore::WrappingStore;
 
-  Status Put(const std::string& key, ValuePtr value) override {
-    ScopedDeadline scope(Deadline::After(kOpBudgetNanos));
-    return inner_->Put(key, value);
-  }
-  StatusOr<ValuePtr> Get(const std::string& key) override {
-    ScopedDeadline scope(Deadline::After(kOpBudgetNanos));
-    return inner_->Get(key);
-  }
-  Status Delete(const std::string& key) override {
-    ScopedDeadline scope(Deadline::After(kOpBudgetNanos));
-    return inner_->Delete(key);
-  }
-  StatusOr<bool> Contains(const std::string& key) override {
-    ScopedDeadline scope(Deadline::After(kOpBudgetNanos));
-    return inner_->Contains(key);
-  }
-  StatusOr<std::vector<std::string>> ListKeys() override {
-    return inner_->ListKeys();
-  }
-  StatusOr<size_t> Count() override { return inner_->Count(); }
-  Status Clear() override { return inner_->Clear(); }
   std::string Name() const override { return inner_->Name() + "+deadline"; }
 
- private:
-  std::shared_ptr<KeyValueStore> inner_;
+ protected:
+  Status Around(StoreOp, const OpCall& call) override {
+    ScopedDeadline scope(Deadline::After(kOpBudgetNanos));
+    return call();
+  }
 };
 
 RetryingStore::Options FastRetries() {

@@ -5,6 +5,7 @@
 #include "cache/lru_cache.h"
 #include "common/clock.h"
 #include "common/random.h"
+#include "counting_store.h"
 #include "dscl/dscl.h"
 #include "dscl/enhanced_store.h"
 #include "dscl/tiered_store.h"
@@ -13,39 +14,6 @@
 
 namespace dstore {
 namespace {
-
-// A store that counts operations — used to prove the cache prevented a
-// server round trip.
-class CountingStore : public MemoryStore {
- public:
-  StatusOr<ValuePtr> Get(const std::string& key) override {
-    ++gets;
-    return MemoryStore::Get(key);
-  }
-  Status Put(const std::string& key, ValuePtr value) override {
-    ++puts;
-    return MemoryStore::Put(key, std::move(value));
-  }
-  StatusOr<ConditionalGetResult> GetIfChanged(
-      const std::string& key, const std::string& etag) override {
-    ++conditional_gets;
-    // Server-side revalidation (like the cloud store): does not go through
-    // the counted Get path, so `gets` counts only full fetches.
-    DSTORE_ASSIGN_OR_RETURN(ValuePtr value, MemoryStore::Get(key));
-    ConditionalGetResult result;
-    result.etag = ComputeEtag(*value);
-    if (!etag.empty() && result.etag == etag) {
-      result.not_modified = true;
-      return result;
-    }
-    result.value = std::move(value);
-    return result;
-  }
-
-  int gets = 0;
-  int puts = 0;
-  int conditional_gets = 0;
-};
 
 // --- TransformChain ---
 
@@ -117,7 +85,7 @@ TEST_F(EnhancedStoreTest, CacheHitAvoidsServerRoundTrip) {
     EXPECT_EQ(*got, "v");
   }
   // Write-through put populated the cache: zero base reads.
-  EXPECT_EQ(base_->gets, 0);
+  EXPECT_EQ(base_->calls["get"], 0);
   EXPECT_EQ(store->Stats().cache_hits, 5u);
 }
 
@@ -126,9 +94,9 @@ TEST_F(EnhancedStoreTest, MissFetchesAndPopulates) {
   // Write directly to the base, bypassing the enhanced client.
   ASSERT_TRUE(base_->PutString("k", "v").ok());
   EXPECT_EQ(*store->GetString("k"), "v");
-  EXPECT_EQ(base_->gets, 1);
+  EXPECT_EQ(base_->calls["get"], 1);
   EXPECT_EQ(*store->GetString("k"), "v");  // now cached
-  EXPECT_EQ(base_->gets, 1);
+  EXPECT_EQ(base_->calls["get"], 1);
   EXPECT_EQ(store->Stats().cache_misses, 1u);
   EXPECT_EQ(store->Stats().cache_hits, 1u);
 }
@@ -140,10 +108,10 @@ TEST_F(EnhancedStoreTest, InvalidatePolicyDropsCacheOnPut) {
   (void)store->PutString("k", "v1");
   EXPECT_FALSE(cache_->Contains("k"));
   EXPECT_EQ(*store->GetString("k"), "v1");  // miss, fetch, populate
-  EXPECT_EQ(base_->gets, 1);
+  EXPECT_EQ(base_->calls["get"], 1);
   (void)store->PutString("k", "v2");  // invalidates again
   EXPECT_EQ(*store->GetString("k"), "v2");
-  EXPECT_EQ(base_->gets, 2);
+  EXPECT_EQ(base_->calls["get"], 2);
 }
 
 TEST_F(EnhancedStoreTest, ExpiredEntryRevalidatedWith304) {
@@ -155,13 +123,13 @@ TEST_F(EnhancedStoreTest, ExpiredEntryRevalidatedWith304) {
   // Object unchanged at the server: the conditional GET returns
   // not_modified; no full fetch happens.
   EXPECT_EQ(*store->GetString("k"), "v");
-  EXPECT_EQ(base_->conditional_gets, 1);
-  EXPECT_EQ(base_->gets, 0);
+  EXPECT_EQ(base_->calls["getifchanged"], 1);
+  EXPECT_EQ(base_->calls["get"], 0);
   EXPECT_EQ(store->Stats().revalidations, 1u);
   EXPECT_EQ(store->Stats().revalidations_saved, 1u);
   // Entry is fresh again.
   EXPECT_EQ(*store->GetString("k"), "v");
-  EXPECT_EQ(base_->conditional_gets, 1);
+  EXPECT_EQ(base_->calls["getifchanged"], 1);
 }
 
 TEST_F(EnhancedStoreTest, ExpiredEntryRefreshedWhenChanged) {
@@ -234,7 +202,7 @@ TEST_F(EnhancedStoreTest, CacheEncodedKeepsCiphertextInCache) {
   EXPECT_EQ(ToString(*cached->value).find("secret"), std::string::npos);
   // But the client still serves plaintext from the cache path.
   EXPECT_EQ(*store->GetString("k"), "secret");
-  EXPECT_EQ(base_->gets, 0);
+  EXPECT_EQ(base_->calls["get"], 0);
 }
 
 TEST_F(EnhancedStoreTest, NoCacheStillTransforms) {
@@ -244,7 +212,7 @@ TEST_F(EnhancedStoreTest, NoCacheStillTransforms) {
   EnhancedStore store(base_, nullptr, chain, {});
   ASSERT_TRUE(store.PutString("k", "vvvvvvvvvvvvvvvvvvvvvv").ok());
   EXPECT_EQ(*store.GetString("k"), "vvvvvvvvvvvvvvvvvvvvvv");
-  EXPECT_EQ(base_->gets, 1);
+  EXPECT_EQ(base_->calls["get"], 1);
 }
 
 TEST_F(EnhancedStoreTest, DeleteAlsoRemovesCachedEntry) {
@@ -260,7 +228,7 @@ TEST_F(EnhancedStoreTest, ExplicitInvalidateCached) {
   (void)store->PutString("k", "v");
   ASSERT_TRUE(store->InvalidateCached("k").ok());
   EXPECT_EQ(*store->GetString("k"), "v");
-  EXPECT_EQ(base_->gets, 1);  // had to refetch
+  EXPECT_EQ(base_->calls["get"], 1);  // had to refetch
 }
 
 TEST_F(EnhancedStoreTest, NameDescribesLayers) {
@@ -279,7 +247,7 @@ TEST(TieredStoreTest, FrontServesRepeatReads) {
   ASSERT_TRUE(back->PutString("k", "v").ok());
   EXPECT_EQ(*tiered.GetString("k"), "v");  // miss -> back, populate front
   EXPECT_EQ(*tiered.GetString("k"), "v");  // hit in front
-  EXPECT_EQ(back->gets, 1);
+  EXPECT_EQ(back->calls["get"], 1);
   EXPECT_EQ(tiered.GetStats().front_hits, 1u);
   EXPECT_EQ(tiered.GetStats().front_misses, 1u);
 }

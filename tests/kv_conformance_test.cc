@@ -6,14 +6,20 @@
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
 #include "admit/admit_store.h"
 #include "admit/limiter.h"
 #include "admit/token_bucket.h"
+#include "cache/expiring_cache.h"
 #include "cache/lru_cache.h"
+#include "common/clock.h"
 #include "common/random.h"
+#include "counting_store.h"
+#include "dscl/enhanced_store.h"
+#include "dscl/invalidation.h"
 #include "fault/fault_store.h"
 #include "net/latency_model.h"
 #include "store/cloud_client.h"
@@ -23,10 +29,13 @@
 #include "store/lsm/lsm_store.h"
 #include "shard/sharded_store.h"
 #include "store/memory_store.h"
+#include "store/overhead_store.h"
 #include "store/remote_cache.h"
+#include "store/resilient_store.h"
 #include "replica/placement.h"
 #include "replica/replicated_store.h"
 #include "udsm/mirrored_store.h"
+#include "udsm/monitor.h"
 #include "store/sql_client.h"
 #include "store/sql_server.h"
 
@@ -35,7 +44,7 @@ namespace {
 
 // Holds a store plus whatever server machinery keeps it alive.
 struct StoreFixture {
-  std::unique_ptr<KeyValueStore> store;
+  std::shared_ptr<KeyValueStore> store;
   std::function<void()> teardown;
 };
 
@@ -45,18 +54,26 @@ StoreFixture MakeMemoryFixture() {
   return {std::make_unique<MemoryStore>(), [] {}};
 }
 
-StoreFixture MakeFileFixture() {
+// A fresh per-process directory, and the teardown that removes it.
+std::filesystem::path ScratchDir(const std::string& tag) {
   static int counter = 0;
-  const auto root = std::filesystem::temp_directory_path() /
-                    ("dstore_kv_conformance_" + std::to_string(::getpid()) +
-                     "_" + std::to_string(counter++));
+  return std::filesystem::temp_directory_path() /
+         ("dstore_kv_conformance_" + tag + std::to_string(::getpid()) + "_" +
+          std::to_string(counter++));
+}
+
+std::function<void()> RemoveDir(const std::filesystem::path& root) {
+  return [root] {
+    std::error_code ec;
+    std::filesystem::remove_all(root, ec);
+  };
+}
+
+StoreFixture MakeFileFixture() {
+  const auto root = ScratchDir("");
   auto store = FileStore::Open(root);
   EXPECT_TRUE(store.ok());
-  auto path = root;
-  return {*std::move(store), [path] {
-            std::error_code ec;
-            std::filesystem::remove_all(path, ec);
-          }};
+  return {*std::move(store), RemoveDir(root)};
 }
 
 // Small memtable so the conformance workload (1 MiB values) actually
@@ -70,25 +87,14 @@ std::unique_ptr<lsm::LsmStore> OpenLsmAt(const std::filesystem::path& root) {
 }
 
 StoreFixture MakeLsmFixture() {
-  static int counter = 0;
-  const auto root = std::filesystem::temp_directory_path() /
-                    ("dstore_kv_conformance_lsm_" +
-                     std::to_string(::getpid()) + "_" +
-                     std::to_string(counter++));
-  return {OpenLsmAt(root), [root] {
-            std::error_code ec;
-            std::filesystem::remove_all(root, ec);
-          }};
+  const auto root = ScratchDir("lsm_");
+  return {OpenLsmAt(root), RemoveDir(root)};
 }
 
 // ShardedStore over three LsmStore shards: routing must compose with a
 // real persistent backend, not just MemoryStore.
 StoreFixture MakeShardedLsmFixture() {
-  static int counter = 0;
-  const auto root = std::filesystem::temp_directory_path() /
-                    ("dstore_kv_conformance_lsm_shards_" +
-                     std::to_string(::getpid()) + "_" +
-                     std::to_string(counter++));
+  const auto root = ScratchDir("lsm_shards_");
   ShardedStore::ShardList shards;
   for (int i = 0; i < 3; ++i) {
     shards.emplace_back(
@@ -96,10 +102,7 @@ StoreFixture MakeShardedLsmFixture() {
         std::shared_ptr<KeyValueStore>(
             OpenLsmAt(root / ("shard" + std::to_string(i)))));
   }
-  return {std::make_unique<ShardedStore>(std::move(shards)), [root] {
-            std::error_code ec;
-            std::filesystem::remove_all(root, ec);
-          }};
+  return {std::make_unique<ShardedStore>(std::move(shards)), RemoveDir(root)};
 }
 
 StoreFixture MakeSqlFixture() {
@@ -131,45 +134,54 @@ StoreFixture MakeRemoteCacheFixture() {
           [shared_server] { shared_server->Stop(); }};
 }
 
-// Wraps a base fixture's store in a FaultInjectingStore carrying a
-// probability-0 rule. The decorator must be behaviour-identical to the bare
-// store when no fault fires, so the whole suite runs again over each
-// wrapped variant.
-template <FixtureFactory kBase>
-StoreFixture MakeFaultWrappedFixture() {
-  StoreFixture base = kBase();
+// Every decorator, configured so it never changes an answer (a probability-0
+// fault plan, admission that never sheds, a 0 ns overhead, ...), must be
+// behaviour-identical to the bare store: the suite runs again over each.
+using StorePtr = std::shared_ptr<KeyValueStore>;
+using Wrapper = StorePtr (*)(StorePtr);
+
+StorePtr WrapFault0(StorePtr s) {
   auto plan = std::make_shared<fault::FaultPlan>(1);
   plan->AddRule(*fault::FaultRule::Parse("site=store p=0.0"));
-  return {std::make_unique<FaultInjectingStore>(
-              std::shared_ptr<KeyValueStore>(std::move(base.store)),
-              std::move(plan)),
-          base.teardown};
+  return std::make_shared<FaultInjectingStore>(s, plan);
 }
 
-// Wraps a base fixture's store in the full admission stack (adaptive
-// limiter + token bucket + circuit breaker) configured so nothing can ever
-// trip or shed. Pass-through admission must be behaviour-identical to the
-// bare store, the same way a probability-0 fault plan is.
-template <FixtureFactory kBase>
-StoreFixture MakeAdmitWrappedFixture() {
-  StoreFixture base = kBase();
+StorePtr WrapBreaker(StorePtr s) {
+  admit::CircuitBreaker::Options never_trips;
+  never_trips.failure_threshold = 1 << 30;
+  return std::make_shared<admit::CircuitBreakerStore>(s, never_trips);
+}
+
+StorePtr WrapAdmit(StorePtr s) {
   admit::AdmittingStore::Options options;
-  admit::AdaptiveLimiter::Options limiter_options;
-  limiter_options.initial_limit = 1e6;
-  limiter_options.min_limit = 1e6;
-  limiter_options.max_limit = 1e6;
-  options.limiter = std::make_shared<admit::AdaptiveLimiter>(limiter_options);
-  admit::TokenBucket::Options bucket_options;
-  bucket_options.rate_per_sec = 1e9;
-  bucket_options.burst = 1e9;
-  options.rate_limiter = std::make_shared<admit::TokenBucket>(bucket_options);
-  auto admitting = std::make_shared<admit::AdmittingStore>(
-      std::shared_ptr<KeyValueStore>(std::move(base.store)), options);
-  admit::CircuitBreaker::Options breaker_options;
-  breaker_options.failure_threshold = 1'000'000'000;
-  return {std::make_unique<admit::CircuitBreakerStore>(std::move(admitting),
-                                                       breaker_options),
-          base.teardown};
+  options.limiter = std::make_shared<admit::AdaptiveLimiter>(
+      admit::AdaptiveLimiter::Options{
+          .initial_limit = 1e6, .min_limit = 1e6, .max_limit = 1e6});
+  options.rate_limiter = std::make_shared<admit::TokenBucket>(
+      admit::TokenBucket::Options{1e9, 1e9});
+  return WrapBreaker(std::make_shared<admit::AdmittingStore>(s, options));
+}
+
+StorePtr WrapRetry(StorePtr s) { return std::make_shared<RetryingStore>(s); }
+
+StorePtr WrapMonitor(StorePtr s) {
+  return std::make_shared<MonitoredStore>(
+      s, std::make_shared<PerformanceMonitor>(16, nullptr));
+}
+
+StorePtr WrapOverhead0(StorePtr s) {
+  return std::make_shared<OverheadStore>(s, OverheadStore::Overheads());
+}
+
+StorePtr WrapInval(StorePtr s) {
+  return std::make_shared<InvalidatingStore>(
+      s, std::make_shared<InvalidationBus>());
+}
+
+template <FixtureFactory kBase, Wrapper kWrap>
+StoreFixture Wrapped() {
+  StoreFixture base = kBase();
+  return {kWrap(base.store), base.teardown};
 }
 
 // ShardedStore over k memory shards must satisfy the same contract as any
@@ -196,49 +208,6 @@ StoreFixture MakeShardedMirroredFixture() {
   return {std::make_unique<ShardedStore>(std::move(shards)), [] {}};
 }
 
-// Factories below hand back shared_ptr-owned stores (ReplicatedStore and
-// the replicated ring build as shared_ptr); this forwarder makes them fit
-// the fixture's unique_ptr without giving up shared ownership.
-class SharedStoreView : public KeyValueStore {
- public:
-  explicit SharedStoreView(std::shared_ptr<KeyValueStore> inner)
-      : inner_(std::move(inner)) {}
-
-  Status Put(const std::string& key, ValuePtr value) override {
-    return inner_->Put(key, std::move(value));
-  }
-  StatusOr<ValuePtr> Get(const std::string& key) override {
-    return inner_->Get(key);
-  }
-  Status Delete(const std::string& key) override {
-    return inner_->Delete(key);
-  }
-  StatusOr<bool> Contains(const std::string& key) override {
-    return inner_->Contains(key);
-  }
-  StatusOr<std::vector<std::string>> ListKeys() override {
-    return inner_->ListKeys();
-  }
-  StatusOr<size_t> Count() override { return inner_->Count(); }
-  Status Clear() override { return inner_->Clear(); }
-  StatusOr<ConditionalGetResult> GetIfChanged(
-      const std::string& key, const std::string& etag) override {
-    return inner_->GetIfChanged(key, etag);
-  }
-  std::vector<StatusOr<ValuePtr>> MultiGet(
-      const std::vector<std::string>& keys) override {
-    return inner_->MultiGet(keys);
-  }
-  Status MultiPut(
-      const std::vector<std::pair<std::string, ValuePtr>>& entries) override {
-    return inner_->MultiPut(entries);
-  }
-  std::string Name() const override { return inner_->Name(); }
-
- private:
-  const std::shared_ptr<KeyValueStore> inner_;
-};
-
 // A 3-replica primary-backup group over memory backends (W=2, R=2): the
 // replication layer must be behaviour-identical to a bare store.
 StoreFixture MakeReplicated3Fixture() {
@@ -251,7 +220,7 @@ StoreFixture MakeReplicated3Fixture() {
   options.name = "conformance";
   auto store = replica::ReplicatedStore::Create(std::move(backends), options);
   EXPECT_TRUE(store.ok()) << store.status().ToString();
-  return {std::make_unique<SharedStoreView>(*store), [] {}};
+  return {*store, [] {}};
 }
 
 // The paper-shaped topology: a sharded store whose shards are replica
@@ -267,13 +236,12 @@ StoreFixture MakeShardedReplicatedFixture() {
   };
   auto store = replica::BuildReplicatedRing(options);
   EXPECT_TRUE(store.ok()) << store.status().ToString();
-  return {std::make_unique<SharedStoreView>(*store), [] {}};
+  return {*store, [] {}};
 }
 
 struct Param {
   const char* name;
   FixtureFactory factory;
-  bool supports_list;  // remote cache does not enumerate keys
 };
 
 class KvConformanceTest : public ::testing::TestWithParam<Param> {
@@ -347,9 +315,6 @@ TEST_P(KvConformanceTest, ClearEmptiesStore) {
 }
 
 TEST_P(KvConformanceTest, ListKeysReturnsAll) {
-  if (!GetParam().supports_list) {
-    GTEST_SKIP() << "store does not enumerate keys";
-  }
   std::set<std::string> expected;
   for (int i = 0; i < 7; ++i) {
     const std::string key = "k" + std::to_string(i);
@@ -452,41 +417,156 @@ TEST_P(KvConformanceTest, GetIfChangedRevalidates) {
 INSTANTIATE_TEST_SUITE_P(
     AllStores, KvConformanceTest,
     ::testing::Values(
-        Param{"memory", &MakeMemoryFixture, true},
-        Param{"file", &MakeFileFixture, true},
-        Param{"lsm", &MakeLsmFixture, true},
-        Param{"sql", &MakeSqlFixture, true},
-        Param{"cloud", &MakeCloudFixture, true},
-        Param{"rediscache", &MakeRemoteCacheFixture, true},
-        Param{"memory_fault0", &MakeFaultWrappedFixture<&MakeMemoryFixture>,
-              true},
-        Param{"file_fault0", &MakeFaultWrappedFixture<&MakeFileFixture>, true},
-        Param{"lsm_fault0", &MakeFaultWrappedFixture<&MakeLsmFixture>, true},
-        Param{"sql_fault0", &MakeFaultWrappedFixture<&MakeSqlFixture>, true},
-        Param{"cloud_fault0", &MakeFaultWrappedFixture<&MakeCloudFixture>,
-              true},
+        Param{"memory", &MakeMemoryFixture},
+        Param{"file", &MakeFileFixture},
+        Param{"lsm", &MakeLsmFixture},
+        Param{"sql", &MakeSqlFixture},
+        Param{"cloud", &MakeCloudFixture},
+        Param{"rediscache", &MakeRemoteCacheFixture},
+        Param{"memory_fault0", &Wrapped<&MakeMemoryFixture, &WrapFault0>},
+        Param{"file_fault0", &Wrapped<&MakeFileFixture, &WrapFault0>},
+        Param{"lsm_fault0", &Wrapped<&MakeLsmFixture, &WrapFault0>},
+        Param{"sql_fault0", &Wrapped<&MakeSqlFixture, &WrapFault0>},
+        Param{"cloud_fault0", &Wrapped<&MakeCloudFixture, &WrapFault0>},
         Param{"rediscache_fault0",
-              &MakeFaultWrappedFixture<&MakeRemoteCacheFixture>, true},
-        Param{"shard1", &MakeShardedMemoryFixture<1>, true},
-        Param{"shard3", &MakeShardedMemoryFixture<3>, true},
-        Param{"shard8", &MakeShardedMemoryFixture<8>, true},
-        Param{"shard_mirror", &MakeShardedMirroredFixture, true},
-        Param{"shard3_lsm", &MakeShardedLsmFixture, true},
+              &Wrapped<&MakeRemoteCacheFixture, &WrapFault0>},
+        Param{"shard1", &MakeShardedMemoryFixture<1>},
+        Param{"shard3", &MakeShardedMemoryFixture<3>},
+        Param{"shard8", &MakeShardedMemoryFixture<8>},
+        Param{"shard_mirror", &MakeShardedMirroredFixture},
+        Param{"shard3_lsm", &MakeShardedLsmFixture},
         Param{"shard3_fault0",
-              &MakeFaultWrappedFixture<&MakeShardedMemoryFixture<3>>, true},
-        Param{"replicated3", &MakeReplicated3Fixture, true},
+              &Wrapped<&MakeShardedMemoryFixture<3>, &WrapFault0>},
+        Param{"replicated3", &MakeReplicated3Fixture},
         Param{"replicated3_fault0",
-              &MakeFaultWrappedFixture<&MakeReplicated3Fixture>, true},
-        Param{"shard3_replicated", &MakeShardedReplicatedFixture, true},
-        Param{"memory_admit", &MakeAdmitWrappedFixture<&MakeMemoryFixture>,
-              true},
-        Param{"cloud_admit", &MakeAdmitWrappedFixture<&MakeCloudFixture>,
-              true},
+              &Wrapped<&MakeReplicated3Fixture, &WrapFault0>},
+        Param{"shard3_replicated", &MakeShardedReplicatedFixture},
+        Param{"memory_admit", &Wrapped<&MakeMemoryFixture, &WrapAdmit>},
+        Param{"cloud_admit", &Wrapped<&MakeCloudFixture, &WrapAdmit>},
         Param{"shard3_admit",
-              &MakeAdmitWrappedFixture<&MakeShardedMemoryFixture<3>>, true}),
+              &Wrapped<&MakeShardedMemoryFixture<3>, &WrapAdmit>},
+        Param{"memory_retry", &Wrapped<&MakeMemoryFixture, &WrapRetry>},
+        Param{"memory_breaker", &Wrapped<&MakeMemoryFixture, &WrapBreaker>},
+        Param{"memory_monitor", &Wrapped<&MakeMemoryFixture, &WrapMonitor>},
+        Param{"memory_overhead0", &Wrapped<&MakeMemoryFixture, &WrapOverhead0>},
+        Param{"memory_inval", &Wrapped<&MakeMemoryFixture, &WrapInval>}),
     [](const ::testing::TestParamInfo<Param>& info) {
       return info.param.name;
     });
+
+// Under every decorator, whole-store calls and revalidation reach the
+// backend as one call of the same kind (never a per-key fallback), and
+// batches still pass through the decorator's policy. Name() suffixes are
+// part of the contract: metrics are labelled with them.
+TEST(DecoratorForwardingTest, CallsReachTheBottomThroughEachPolicy) {
+  const std::tuple<const char*, Wrapper, const char*> decorators[] = {
+      {"fault0", &WrapFault0, "memory+fault"},
+      {"admit", &WrapAdmit, "memory+admit+breaker"},
+      {"retry", &WrapRetry, "memory+retry"},
+      {"breaker", &WrapBreaker, "memory+breaker"},
+      {"monitor", &WrapMonitor, "memory"},
+      {"overhead0", &WrapOverhead0, "memory"},
+      {"inval", &WrapInval, "memory+inval"}};
+  const std::string etag = ComputeEtag(*MakeValue(std::string_view("v")));
+  for (const auto& [label, wrap, name] : decorators) {
+    SCOPED_TRACE(label);
+    auto bottom = std::make_shared<CountingStore>();
+    const StorePtr top = wrap(bottom);
+    EXPECT_EQ(top->Name(), name);
+    ASSERT_TRUE(top->PutString("k", "v").ok());
+    const std::pair<std::string, std::function<Status()>> calls[] = {
+        {"getifchanged", [&] { return top->GetIfChanged("k", etag).status(); }},
+        {"contains", [&] { return top->Contains("k").status(); }},
+        {"listkeys", [&] { return top->ListKeys().status(); }},
+        {"count", [&] { return top->Count().status(); }},
+        {"clear", [&] { return top->Clear(); }}};
+    for (const auto& [kind, call] : calls) {
+      bottom->calls.clear();
+      ASSERT_TRUE(call().ok()) << kind;
+      EXPECT_EQ(bottom->calls[kind], 1) << kind;
+      EXPECT_EQ(bottom->calls["get"], 0) << kind;
+    }
+  }
+
+  // Fault: a multiget rule fires once on the batch, which never reaches the
+  // bottom.
+  const std::vector<std::string> keys = {"a", "b", "c"};
+  auto bottom = std::make_shared<CountingStore>();
+  auto plan = std::make_shared<fault::FaultPlan>(1);
+  plan->AddRule(*fault::FaultRule::Parse("site=store op=multiget"));
+  for (const auto& result : FaultInjectingStore(bottom, plan).MultiGet(keys)) {
+    EXPECT_TRUE(result.status().IsUnavailable());
+  }
+  EXPECT_EQ(plan->injected_total(), 1u);
+  EXPECT_TRUE(bottom->calls.empty());
+
+  // Invalidation: every MultiPut key is published.
+  auto bus = std::make_shared<InvalidationBus>();
+  std::vector<std::string> published;
+  bus->Subscribe([&](const std::string& key) { published.push_back(key); });
+  std::vector<std::pair<std::string, ValuePtr>> entries;
+  for (const auto& key : keys) entries.emplace_back(key, MakeValue(Bytes{}));
+  ASSERT_TRUE(InvalidatingStore(bottom, bus).MultiPut(entries).ok());
+  EXPECT_EQ(published, keys);
+
+  // Admission: a two-token bucket admits two keys and sheds the third.
+  admit::AdmittingStore::Options options;
+  options.rate_limiter = std::make_shared<admit::TokenBucket>(
+      admit::TokenBucket::Options{1e-9, 2});
+  auto admitted = admit::AdmittingStore(bottom, options).MultiGet(keys);
+  EXPECT_TRUE(admitted[1].ok());
+  EXPECT_TRUE(admitted[2].status().IsOverloaded());
+
+  // Breaker: two failing keys open it and the third is short-circuited.
+  auto failing = std::make_shared<fault::FaultPlan>(1);
+  failing->AddRule(*fault::FaultRule::Parse("site=store op=get"));
+  admit::CircuitBreaker::Options breaker;
+  breaker.failure_threshold = 2;
+  auto broken = admit::CircuitBreakerStore(
+                    std::make_shared<FaultInjectingStore>(bottom, failing),
+                    breaker)
+                    .MultiGet(keys);
+  EXPECT_TRUE(broken[1].status().IsUnavailable());
+  EXPECT_TRUE(broken[2].status().IsOverloaded());
+}
+
+// A hook that returns OK without running the call has no value to hand
+// back: the call fails with Internal rather than reading an empty result.
+class SkippingStore : public WrappingStore {
+ public:
+  SkippingStore() : WrappingStore(std::make_shared<MemoryStore>()) {}
+
+ protected:
+  Status Around(StoreOp, const OpCall&) override { return Status::OK(); }
+};
+
+TEST(DecoratorForwardingTest, AroundThatSkipsTheCallIsInternal) {
+  SkippingStore store;
+  EXPECT_TRUE(store.Get("k").status().IsInternal());
+  EXPECT_TRUE(store.Put("k", MakeValue(Bytes{})).IsInternal());
+}
+
+// The paper's revalidation (Fig. 7) survives a retry layer: an expired
+// EnhancedStore entry revalidates through RetryingStore, and the cloud
+// server answers 304 instead of sending the value again.
+TEST(DecoratorForwardingTest, EnhancedStoreRevalidatesThroughRetry) {
+  StoreFixture cloud = MakeCloudFixture();
+  auto bottom = std::make_shared<CountingStore>(cloud.store);
+  SimulatedClock clock;
+  EnhancedStore::Options options;
+  options.cache_ttl_nanos = 1000;
+  EnhancedStore store(std::make_shared<RetryingStore>(bottom),
+                      std::make_shared<ExpiringCache>(
+                          std::make_unique<LruCache>(1 << 20), &clock),
+                      nullptr, options);
+  ASSERT_TRUE(store.PutString("k", "v").ok());
+  clock.Advance(2000);  // the cached entry expires
+  bottom->calls.clear();
+  EXPECT_EQ(*store.GetString("k"), "v");
+  EXPECT_EQ(store.Stats().revalidations_saved, 1u);
+  EXPECT_EQ(bottom->calls, (std::map<std::string, int>{{"getifchanged", 1}}));
+  cloud.teardown();
+}
 
 }  // namespace
 }  // namespace dstore

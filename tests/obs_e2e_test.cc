@@ -144,9 +144,9 @@ TEST_F(ObsE2eTest, OneTraceIdSpansClientAndAllServers) {
   {
     obs::Span root("e2e.multiget", tracer_);
     ASSERT_TRUE(root.recording());
-    // The sharded store fans per-shard batches out on its scatter pool
-    // (MonitoredStore has no MultiGet override and would degrade the call
-    // to sequential Gets).
+    // Call the sharded store directly: it fans per-shard batches out on its
+    // scatter pool. MonitoredStore runs a batch as per-key Gets until
+    // batches are carried through the policy decorators (ROADMAP item 4).
     auto results = sharded_->MultiGet(Keys());
     for (const auto& result : results) ASSERT_TRUE(result.ok());
   }

@@ -6,6 +6,7 @@
 
 #include <sys/resource.h>
 
+#include <atomic>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
@@ -32,6 +33,7 @@
 #include "replica/transport.h"
 #include "store/cloud_client.h"
 #include "store/cloud_server.h"
+#include "store/forwarding_store.h"
 #include "store/memory_store.h"
 
 namespace dstore {
@@ -650,7 +652,7 @@ TEST(ReplicaTransportTest, LocalAndCloudFenceIdentically) {
 
 // --- Read repair and anti-entropy ------------------------------------------
 
-TEST(ReplicaGroupTest, ReadRepairRewritesDivergentReplica) {
+TEST(ReplicaGroupTest, ReadCountsDivergenceRepairPassConverges) {
   ReplicaGroup::Options options = FastOptions("t_readrepair");
   const uint64_t repaired_before =
       CounterValue("dstore_replica_read_repair_total", "t_readrepair");
@@ -660,12 +662,65 @@ TEST(ReplicaGroupTest, ReadRepairRewritesDivergentReplica) {
   ASSERT_TRUE(store->PutString("k", "good").ok());
   ASSERT_TRUE(store->group()->WaitForReplication().ok());
 
-  // Silently corrupt the first backup behind the group's back.
+  // Silently corrupt the first backup behind the group's back. The read
+  // compare counts it but does not write; RepairPass is the one fixer.
   ASSERT_TRUE(tg.backends[1]->PutString("k", "corrupt").ok());
   EXPECT_EQ(*store->GetString("k"), "good");
-  EXPECT_EQ(*tg.backends[1]->GetString("k"), "good");
   EXPECT_GT(CounterValue("dstore_replica_read_repair_total", "t_readrepair"),
             repaired_before);
+  EXPECT_EQ(*tg.backends[1]->GetString("k"), "corrupt");
+  ASSERT_TRUE(store->group()->RepairPass().ok());
+  EXPECT_EQ(*tg.backends[1]->GetString("k"), "good");
+}
+
+// Holds one armed Get, after it has read its value, until released.
+class HeldGetStore : public WrappingStore {
+ public:
+  using WrappingStore::WrappingStore;
+  std::atomic<bool> armed{false}, holding{false}, released{false};
+
+ protected:
+  Status Around(StoreOp op, const OpCall& call) override {
+    Status status = call();
+    if (op == StoreOp::kGet && armed.exchange(false)) {
+      for (holding = true; !released;) RealClock::Default()->SleepFor(100'000);
+    }
+    return status;
+  }
+};
+
+// A read must never write. The primary (the read's authority) reads "old";
+// then "new" lands on every replica before the peer is read. Rewriting the
+// "divergent" peer would put "old" back under a watermark that already
+// covers "new", and promoting it would lose an acknowledged write.
+TEST(ReplicaGroupTest, ReadNeverUndoesANewerWrite) {
+  auto primary =
+      std::make_shared<HeldGetStore>(std::make_shared<MemoryStore>());
+  auto peer = std::make_shared<MemoryStore>();
+  std::vector<ReplicaGroup::ReplicaSpec> specs = {
+      {"r0", std::make_shared<replica::LocalReplica>(primary)},
+      {"r1", std::make_shared<replica::LocalReplica>(peer)},
+      {"r2", std::make_shared<replica::LocalReplica>(
+                 std::make_shared<MemoryStore>())}};
+  auto group = ReplicaGroup::Create(specs, FastOptions("t_readrace"));
+  ASSERT_TRUE(group.ok());
+  auto write = [&](const char* value) {
+    ASSERT_TRUE((*group)->Write(OpType::kPut, "k", MakeValue(value)).ok());
+    ASSERT_TRUE((*group)->WaitForReplication().ok());
+  };
+  write("old");
+  primary->armed = true;
+  std::thread reader([&] { EXPECT_TRUE((*group)->Read("k", 0).ok()); });
+  while (!primary->holding) RealClock::Default()->SleepFor(100'000);
+  write("new");
+  primary->released = true;
+  reader.join();
+
+  EXPECT_EQ(*peer->GetString("k"), "new");
+  ASSERT_TRUE((*group)->Promote("r1").ok());
+  auto read = (*group)->Read("k", 0);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(ToString(**read), "new");
 }
 
 TEST(ReplicaGroupTest, AntiEntropyConvergesSilentDivergence) {

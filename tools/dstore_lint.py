@@ -33,6 +33,13 @@ or a bare `// NOLINT` comment):
                     through Clock::SleepFor, which is DSTORE_BLOCKING-
                     annotated — a raw sleep is invisible to the reactor
                     blocking-context check and to SimulatedClock tests.
+  hand-forwarder    A class that derives from KeyValueStore directly and
+                    holds a std::shared_ptr<KeyValueStore> member: a
+                    decorator re-typing the interface by hand silently
+                    drops whatever it forgets to forward (whole-store
+                    calls, GetIfChanged, batches). Derive from
+                    ForwardingStore (store/forwarding_store.h) and override
+                    only the calls that change.
 
 `--self-test` runs the embedded rule fixtures (each rule must fire on its
 positive snippet and stay quiet on its negative/suppressed one) and exits.
@@ -112,6 +119,47 @@ def strip_strings(line):
     return re.sub(r'"(\\.|[^"\\])*"|\'(\\.|[^\'\\])*\'', '""', line)
 
 
+# The one place a KeyValueStore subclass owns an inner store and forwards
+# it: the decorator base itself.
+HAND_FORWARDER_ALLOWED = {
+    os.path.join("src", "store", "forwarding_store.h"),
+}
+
+# A class deriving from KeyValueStore directly (possibly across lines).
+KV_SUBCLASS_RE = re.compile(
+    r"\b(?:class|struct)\s+\w+\s*(?:final\s*)?:\s*public\s+"
+    r"(?:dstore::)?KeyValueStore\s*\{")
+# A data member holding one inner store (vectors of stores are composites).
+KV_MEMBER_RE = re.compile(
+    r"^\s*(?:const\s+)?std::shared_ptr<\s*(?:dstore::)?KeyValueStore\s*>"
+    r"\s+\w+\s*;", re.MULTILINE)
+
+
+def lint_hand_forwarder(rel, text, lines, findings):
+    for m in KV_SUBCLASS_RE.finditer(text):
+        lineno = text.count("\n", 0, m.start()) + 1
+        # The class body, brace-matched, with comments dropped and nested
+        # blocks (method bodies, nested types) collapsed so only the class's
+        # own member declarations remain.
+        depth = 0
+        for end in range(m.end() - 1, len(text)):
+            depth += {"{": 1, "}": -1}.get(text[end], 0)
+            if depth == 0:
+                break
+        body = re.sub(r"//[^\n]*", "", text[m.end():end])
+        while True:
+            collapsed = re.sub(r"\{[^{}]*\}", ";", body)
+            if collapsed == body:
+                break
+            body = collapsed
+        if KV_MEMBER_RE.search(body) and \
+                not suppressed(lines[lineno - 1], "hand-forwarder"):
+            findings.append(
+                (rel, lineno, "hand-forwarder: derive decorators from "
+                 "ForwardingStore (store/forwarding_store.h) instead of "
+                 "re-forwarding KeyValueStore by hand"))
+
+
 def lint_file(path, rel, findings):
     with open(path, encoding="utf-8", errors="replace") as f:
         lint_text(rel, f.read(), findings)
@@ -122,6 +170,8 @@ def lint_text(rel, text, findings):
     is_header = rel.endswith((".h", ".hpp"))
     if is_header:
         lint_include_guard(rel, lines, findings)
+    if rel not in HAND_FORWARDER_ALLOWED:
+        lint_hand_forwarder(rel, text, lines, findings)
 
     raw_sync_ok = rel in RAW_SYNC_ALLOWED
     raw_sleep_ok = rel in RAW_SLEEP_ALLOWED
@@ -229,6 +279,18 @@ SELF_TEST_FIXTURES = [
      "#ifndef FX_GUARD_OK_H_\n#define FX_GUARD_OK_H_\n#endif\n", []),
     ("fx_discard.cc", "void F() {\n  store->Put(key, value);\n}\n",
      ["discarded-status"]),
+    ("fx_forwarder.cc",
+     "class Fwd\n    : public KeyValueStore {\n public:\n"
+     "  Status Clear() override { return inner_->Clear(); }\n\n private:\n"
+     "  std::shared_ptr<KeyValueStore> inner_;\n};\n", ["hand-forwarder"]),
+    ("fx_forwarder_ok.cc",
+     "class Fwd : public ForwardingStore {\n"
+     "  std::shared_ptr<KeyValueStore> front_;\n};\n"
+     "class Sharded : public KeyValueStore {\n"
+     "  void F() { std::shared_ptr<KeyValueStore> local; }\n"
+     "  std::vector<std::shared_ptr<KeyValueStore>> shards_;\n};\n"
+     "class Kept : public KeyValueStore {  // NOLINT(dstore-hand-forwarder)\n"
+     "  std::shared_ptr<KeyValueStore> inner_;\n};\n", []),
     ("fx_discard_ok.cc",
      "void F() {\n  (void)store->Put(key, value);\n"
      "  if (!store->Put(key, value).ok()) return;\n}\n", []),
