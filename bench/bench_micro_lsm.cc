@@ -215,8 +215,12 @@ void BM_LsmFill(benchmark::State& state) {
 BENCHMARK(BM_LsmFill)->Unit(benchmark::kMicrosecond);
 
 // Full compaction of a freshly filled store: how fast the background
-// machinery turns an L0 backlog into disjoint L1 files.
+// machinery turns an L0 backlog into disjoint L1 files. The untimed tail
+// reads every key once and reports cache_per_live_sst: block-cache bytes
+// over live SST bytes. Compaction fills nothing and retired inputs leave
+// the cache, so the ratio stays near 1 (data blocks plus per-entry charge).
 void BM_LsmCompact(benchmark::State& state) {
+  double cache_per_live_sst = 0;
   for (auto _ : state) {
     state.PauseTiming();
     lsm::LsmOptions options;
@@ -227,9 +231,10 @@ void BM_LsmCompact(benchmark::State& state) {
         std::move(lsm::LsmStore::Open(FreshDir("compact"), options)).value();
     Random rng(0xC0);
     const ValuePtr value = MakeValue(rng.RandomBytes(kValueBytes));
+    std::vector<std::string> keys;
     for (int i = 0; i < 8192; ++i) {
-      (void)store->Put(BenchKey(static_cast<uint64_t>(rng.Uniform(1 << 20))),
-                       value);
+      keys.push_back(BenchKey(static_cast<uint64_t>(rng.Uniform(1 << 20))));
+      (void)store->Put(keys.back(), value);
     }
     state.ResumeTiming();
     const Status status = store->CompactAll();
@@ -237,11 +242,111 @@ void BM_LsmCompact(benchmark::State& state) {
       state.SkipWithError(status.ToString().c_str());
       break;
     }
+    state.PauseTiming();
+    for (const std::string& key : keys) (void)store->Get(key);
+    const lsm::LsmStats stats = store->GetStats();
+    uint64_t live_bytes = 0;
+    for (const auto& level : stats.levels) live_bytes += level.bytes;
+    cache_per_live_sst = static_cast<double>(stats.block_cache_bytes) /
+                         static_cast<double>(std::max<uint64_t>(live_bytes, 1));
+    store.reset();
+    state.ResumeTiming();
   }
+  state.counters["cache_per_live_sst"] = cache_per_live_sst;
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 8192 *
                           static_cast<int64_t>(kValueBytes));
 }
 BENCHMARK(BM_LsmCompact)->Unit(benchmark::kMillisecond)->Iterations(3);
+
+// Block-cache footprint of the stack-read-batch scoreboard workload's LSM
+// layer, without the layers above it: 3 shards x 3 replicas = 9 stores
+// with its 128 KiB memtable and default 8 MiB block cache, 10000 1-KiB
+// keys preloaded in 256-key batches and compacted, then four rounds of
+// puts to 5% of the keys followed by a read pass over every key on every
+// replica (an upper bound on what read quorums touch). Reports the summed
+// block-cache bytes of the nine stores, their summed live SST bytes, and
+// the block-cache hit ratio over every lookup (reads and compaction scans).
+void BM_StackShapedBlockCache(benchmark::State& state) {
+  constexpr int kShards = 3;
+  constexpr int kReplicas = 3;
+  constexpr uint64_t kKeys = 10000;
+  double cache_mib = 0;
+  double live_mib = 0;
+  double hit_ratio = 0;
+  for (auto _ : state) {
+    lsm::LsmOptions options;
+    options.memtable_bytes = 128u << 10;
+    options.sync_writes = false;  // the cache, not fsync, is measured
+    std::vector<std::filesystem::path> dirs;
+    std::vector<std::unique_ptr<lsm::LsmStore>> stores;
+    for (int i = 0; i < kShards * kReplicas; ++i) {
+      dirs.push_back(FreshDir("stack" + std::to_string(i)));
+      stores.push_back(
+          std::move(lsm::LsmStore::Open(dirs.back(), options)).value());
+    }
+    Random rng(0x5B);
+    const ValuePtr value = MakeValue(rng.RandomBytes(1024));
+    const auto shard_of = [](uint64_t k) {
+      return static_cast<int>(k % kShards);
+    };
+    for (uint64_t first = 0; first < kKeys; first += 256) {
+      std::vector<std::vector<std::pair<std::string, ValuePtr>>> batches(
+          kShards);
+      for (uint64_t k = first; k < std::min(kKeys, first + 256); ++k) {
+        batches[static_cast<size_t>(shard_of(k))].emplace_back(BenchKey(k),
+                                                               value);
+      }
+      for (int s = 0; s < kShards; ++s) {
+        for (int r = 0; r < kReplicas; ++r) {
+          (void)stores[static_cast<size_t>(s * kReplicas + r)]->MultiPut(
+              batches[static_cast<size_t>(s)]);
+        }
+      }
+    }
+    for (auto& store : stores) (void)store->CompactAll();
+    for (int round = 0; round < 4; ++round) {
+      for (uint64_t i = 0; i < kKeys / 20; ++i) {
+        const uint64_t k = rng.Uniform(kKeys);
+        for (int r = 0; r < kReplicas; ++r) {
+          (void)stores[static_cast<size_t>(shard_of(k) * kReplicas + r)]->Put(
+              BenchKey(k), value);
+        }
+      }
+      for (uint64_t k = 0; k < kKeys; ++k) {
+        for (int r = 0; r < kReplicas; ++r) {
+          (void)stores[static_cast<size_t>(shard_of(k) * kReplicas + r)]->Get(
+              BenchKey(k));
+        }
+      }
+    }
+    uint64_t cache_bytes = 0;
+    uint64_t live_bytes = 0;
+    uint64_t hits = 0;
+    uint64_t lookups = 0;
+    for (auto& store : stores) {
+      const lsm::LsmStats stats = store->GetStats();
+      cache_bytes += stats.block_cache_bytes;
+      for (const auto& level : stats.levels) live_bytes += level.bytes;
+      hits += stats.block_cache_hits;
+      lookups += stats.block_cache_hits + stats.block_cache_misses;
+    }
+    cache_mib = static_cast<double>(cache_bytes) / (1 << 20);
+    live_mib = static_cast<double>(live_bytes) / (1 << 20);
+    hit_ratio = static_cast<double>(hits) /
+                static_cast<double>(std::max<uint64_t>(lookups, 1));
+    stores.clear();
+    for (const auto& dir : dirs) {
+      std::error_code ec;
+      std::filesystem::remove_all(dir, ec);
+    }
+  }
+  state.counters["cache_mib_sum"] = cache_mib;
+  state.counters["live_sst_mib_sum"] = live_mib;
+  state.counters["hit_ratio"] = hit_ratio;
+}
+BENCHMARK(BM_StackShapedBlockCache)
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(1);
 
 }  // namespace
 }  // namespace dstore

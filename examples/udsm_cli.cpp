@@ -27,7 +27,8 @@
 //   slow                    print captured slow/error traces (worst first)
 //   version                 print this binary's build identity
 //   topology                ring ownership + per-shard key counts (shard store)
-//   lsm stats               level shape, bloom hit rate, compaction debt
+//   lsm stats               level shape, bloom hit rate, compaction debt,
+//                           block cache bytes/entries/hits/misses
 //   lsm compact             flush + compact the lsm store to a steady state
 //   addshard NAME           grow a shard store online (memory-backed shard)
 //   rmshard NAME            shrink a shard store online
@@ -381,6 +382,11 @@ struct Shell {
                   static_cast<unsigned long long>(stats.compaction_debt_bytes),
                   static_cast<unsigned long long>(stats.last_sequence),
                   stats.live_snapshots);
+      std::printf("block cache: %zu bytes, %zu entries, %llu hits, "
+                  "%llu misses\n",
+                  stats.block_cache_bytes, stats.block_cache_entries,
+                  static_cast<unsigned long long>(stats.block_cache_hits),
+                  static_cast<unsigned long long>(stats.block_cache_misses));
     } else if (command == "replica") {
       std::string sub, target;
       args >> sub >> target;

@@ -67,20 +67,45 @@ net = json.load(open(sys.argv[4]))
 lsm = json.load(open(sys.argv[5]))
 replica = json.load(open(sys.argv[6]))
 
+# google-benchmark reports times in each row's time_unit (a bench's
+# ->Unit(...)); every snapshot field named *_ns is converted from it.
+NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+# Row fields google-benchmark itself emits; anything else is a user counter.
+STANDARD_FIELDS = {
+    "name", "family_index", "per_family_instance_index", "run_name",
+    "run_type", "repetitions", "repetition_index", "threads", "iterations",
+    "real_time", "cpu_time", "time_unit", "aggregate_name", "aggregate_unit",
+    "label", "error_occurred", "error_message", "bytes_per_second",
+    "items_per_second",
+}
+
+def to_ns(b, field="cpu_time"):
+    unit = b.get("time_unit")
+    if unit not in NS_PER_UNIT:
+        sys.exit(f"{b['name']}: unknown time_unit {unit!r}")
+    return b[field] * NS_PER_UNIT[unit]
+
+def row(b):
+    out = {"name": b["name"]}
+    if b.get("aggregate_unit") == "percentage":
+        out["cv"] = b["cpu_time"]  # coefficient of variation, not a time
+    else:
+        out["cpu_ns"] = to_ns(b)
+    out["label"] = b.get("label", "")
+    counters = {k: v for k, v in b.items()
+                if k not in STANDARD_FIELDS and isinstance(v, (int, float))}
+    if counters:
+        out["counters"] = counters
+    return out
+
 def rows(doc):
-    return [
-        {
-            "name": b["name"],
-            "cpu_ns": b["cpu_time"],
-            "label": b.get("label", ""),
-        }
-        for b in doc["benchmarks"]
-    ]
+    return [row(b) for b in doc["benchmarks"]]
 
 def cpu_ns(doc, name):
     for b in doc["benchmarks"]:
         if b["name"] == name:
-            return b["cpu_time"]
+            return to_ns(b)
     raise KeyError(name)
 
 baseline = cpu_ns(admit, "BM_AdmitFileReadOverhead/0")
@@ -260,10 +285,10 @@ def replica_row(name):
 # the bare FileStore put is the replication machinery's pass-through cost
 # (log append + bookkeeping; budget 10%). W=2/W=3 record what each extra
 # quorum member costs. Read headline: p99 with read-repair off vs on.
-bare_put = replica_row("BM_BareFilePut")["cpu_time"]
-w1_put = replica_row("BM_ReplicatedPut/1")["cpu_time"]
-w2_put = replica_row("BM_ReplicatedPut/2")["cpu_time"]
-w3_put = replica_row("BM_ReplicatedPut/3")["cpu_time"]
+bare_put = to_ns(replica_row("BM_BareFilePut")) / 1e3
+w1_put = to_ns(replica_row("BM_ReplicatedPut/1")) / 1e3
+w2_put = to_ns(replica_row("BM_ReplicatedPut/2")) / 1e3
+w3_put = to_ns(replica_row("BM_ReplicatedPut/3")) / 1e3
 w1_pct = 100.0 * (w1_put - bare_put) / bare_put
 bare_get_p99 = replica_row("BM_BareFileGet")["p99_us"]
 get_plain = replica_row("BM_ReplicatedGet/0")["p99_us"]

@@ -4,16 +4,15 @@ namespace dstore {
 namespace replica {
 
 Status LocalReplica::Apply(const LogEntry& entry, uint64_t epoch) {
-  {
-    MutexLock lock(mu_);
-    DSTORE_RETURN_IF_ERROR(watermark_.Admit(epoch));
-    if (watermark_.IsReplay(entry.seq)) return Status::OK();
-  }
-  // The store call runs outside the metadata lock (it may be slow or
-  // fault-injected); the group applies to any one replica from a single
-  // thread at a time and in seq order (writers serialize on the group's
-  // write mutex, and the replicator never streams to a transport with an
-  // inline apply in flight), so there is no concurrent-apply race to guard.
+  // Admit, store call and watermark move are one step under mu_, as in
+  // CloudStoreServer. Two applies can reach one replica at once across a
+  // promotion: the replicator's apply of a deposed epoch's entry is still
+  // in flight when this replica, now primary, takes an inline write. A
+  // Fence therefore waits for an in-flight apply, and a late old-epoch
+  // apply is refused instead of overwriting the newer write.
+  MutexLock lock(mu_);
+  DSTORE_RETURN_IF_ERROR(watermark_.Admit(epoch));
+  if (watermark_.IsReplay(entry.seq)) return Status::OK();
   Status status;
   switch (entry.op) {
     case OpType::kPut:
@@ -27,7 +26,6 @@ Status LocalReplica::Apply(const LogEntry& entry, uint64_t epoch) {
       break;
   }
   if (!status.ok()) return status;
-  MutexLock lock(mu_);
   watermark_.MarkApplied(entry.seq);
   return Status::OK();
 }

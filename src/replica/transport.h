@@ -31,7 +31,9 @@ class ReplicaTransport {
 
   // Raises the replica's accepted epoch and caps its applied watermark at
   // `max_applied` (a new primary's history may be shorter than a deposed
-  // one's — the surplus is fenced off and repaired by anti-entropy).
+  // one's — the surplus is fenced off and repaired by anti-entropy). An
+  // apply already in flight completes first: once Fence returns, no apply
+  // under a lower epoch reaches the replica's store.
   virtual Status Fence(uint64_t epoch, uint64_t max_applied) = 0;
 
   // The replica's current state (used on rejoin and by status surfaces).

@@ -26,6 +26,14 @@ struct SharedMetrics {
   obs::Counter* bloom_checks;
   obs::Counter* bloom_negatives;
   obs::Counter* bloom_false_positives;
+  obs::Counter* block_cache_hits;
+  obs::Counter* block_cache_misses;
+  // Summed over open stores (each publishes its own deltas).
+  obs::Gauge* sst_files;
+  obs::Gauge* sst_bytes;
+  obs::Gauge* memtable_bytes;
+  obs::Gauge* debt_bytes;
+  obs::Gauge* block_cache_bytes;
 };
 
 SharedMetrics* Metrics() {
@@ -52,6 +60,26 @@ SharedMetrics* Metrics() {
     m->bloom_false_positives = registry->GetCounter(
         "dstore_lsm_bloom_false_positives_total", {},
         "Bloom filter passes where the key was absent after all.");
+    m->block_cache_hits =
+        registry->GetCounter("dstore_lsm_block_cache_hits_total", {},
+                             "SST data-block lookups served by a block cache.");
+    m->block_cache_misses = registry->GetCounter(
+        "dstore_lsm_block_cache_misses_total", {},
+        "SST data-block lookups that had to pread the block.");
+    m->sst_files = registry->GetGauge("dstore_lsm_sst_files", {},
+                                      "Live SST files across all LSM stores.");
+    m->sst_bytes =
+        registry->GetGauge("dstore_lsm_sst_bytes", {},
+                           "Bytes in live SSTs across all LSM stores.");
+    m->memtable_bytes =
+        registry->GetGauge("dstore_lsm_memtable_bytes", {},
+                           "Bytes buffered in (im)mutable memtables.");
+    m->debt_bytes = registry->GetGauge(
+        "dstore_lsm_compaction_debt_bytes", {},
+        "Bytes above per-level compaction targets (pending compaction work).");
+    m->block_cache_bytes = registry->GetGauge(
+        "dstore_lsm_block_cache_bytes", {},
+        "Bytes charged to LSM block caches across all LSM stores.");
     return m;
   }();
   return metrics;
@@ -921,6 +949,13 @@ LsmStats LsmStore::GetStats() {
   stats.bloom_negatives = bloom_negatives_.load(std::memory_order_relaxed);
   stats.bloom_false_positives =
       bloom_false_positives_.load(std::memory_order_relaxed);
+  if (block_cache_ != nullptr) {
+    const CacheStats cache = block_cache_->Stats();
+    stats.block_cache_bytes = block_cache_->ChargeUsed();
+    stats.block_cache_entries = block_cache_->EntryCount();
+    stats.block_cache_hits = cache.hits;
+    stats.block_cache_misses = cache.misses;
+  }
   return stats;
 }
 
@@ -938,39 +973,61 @@ std::vector<std::pair<std::string, std::string>> LsmStore::LevelRangesForTest(
   return ranges;
 }
 
+std::vector<std::string> LsmStore::BlockCacheKeysForTest() {
+  if (block_cache_ == nullptr) return {};
+  StatusOr<std::vector<std::string>> keys = block_cache_->Keys();
+  return keys.ok() ? std::move(keys).value() : std::vector<std::string>{};
+}
+
 void LsmStore::RegisterMetrics() {
-  obs::MetricsRegistry* registry = obs::MetricsRegistry::Default();
-  obs::Gauge* sst_files = registry->GetGauge(
-      "dstore_lsm_sst_files", {}, "Live SST files across all LSM stores.");
-  obs::Gauge* sst_bytes = registry->GetGauge(
-      "dstore_lsm_sst_bytes", {}, "Bytes in live SSTs across all LSM stores.");
-  obs::Gauge* mem_bytes =
-      registry->GetGauge("dstore_lsm_memtable_bytes", {},
-                         "Bytes buffered in (im)mutable memtables.");
-  obs::Gauge* debt = registry->GetGauge(
-      "dstore_lsm_compaction_debt_bytes", {},
-      "Bytes above per-level compaction targets (pending compaction work).");
-  collector_id_ = registry->AddCollector(
-      [this, sst_files, sst_bytes, mem_bytes, debt] {
-        const LsmStats stats = GetStats();
-        size_t files = 0;
-        uint64_t bytes = 0;
-        for (const auto& level : stats.levels) {
-          files += level.files;
-          bytes += level.bytes;
-        }
-        sst_files->Set(static_cast<double>(files));
-        sst_bytes->Set(static_cast<double>(bytes));
-        mem_bytes->Set(static_cast<double>(stats.memtable_bytes));
-        debt->Set(static_cast<double>(stats.compaction_debt_bytes));
-      });
+  collector_id_ = obs::MetricsRegistry::Default()->AddCollector(
+      [this] { PublishMetrics(); });
+}
+
+void LsmStore::PublishMetrics() {
+  // Held across GetStats so concurrent scrapes publish in order and the
+  // counter deltas never go negative.
+  MutexLock lock(publish_mu_);
+  const LsmStats stats = GetStats();
+  Published now;
+  for (const auto& level : stats.levels) {
+    now.sst_files += static_cast<double>(level.files);
+    now.sst_bytes += static_cast<double>(level.bytes);
+  }
+  now.memtable_bytes = static_cast<double>(stats.memtable_bytes);
+  now.debt_bytes = static_cast<double>(stats.compaction_debt_bytes);
+  now.block_cache_bytes = static_cast<double>(stats.block_cache_bytes);
+  now.block_cache_hits = stats.block_cache_hits;
+  now.block_cache_misses = stats.block_cache_misses;
+
+  SharedMetrics* m = Metrics();
+  m->sst_files->Add(now.sst_files - published_.sst_files);
+  m->sst_bytes->Add(now.sst_bytes - published_.sst_bytes);
+  m->memtable_bytes->Add(now.memtable_bytes - published_.memtable_bytes);
+  m->debt_bytes->Add(now.debt_bytes - published_.debt_bytes);
+  m->block_cache_bytes->Add(now.block_cache_bytes -
+                            published_.block_cache_bytes);
+  m->block_cache_hits->Increment(now.block_cache_hits -
+                                 published_.block_cache_hits);
+  m->block_cache_misses->Increment(now.block_cache_misses -
+                                   published_.block_cache_misses);
+  published_ = now;
 }
 
 void LsmStore::UnregisterMetrics() {
-  if (collector_id_ != 0) {
-    obs::MetricsRegistry::Default()->RemoveCollector(collector_id_);
-    collector_id_ = 0;
-  }
+  if (collector_id_ == 0) return;
+  obs::MetricsRegistry::Default()->RemoveCollector(collector_id_);
+  collector_id_ = 0;
+  // Take this store's share out of the summed gauges; the counters keep
+  // what it contributed.
+  SharedMetrics* m = Metrics();
+  MutexLock lock(publish_mu_);
+  m->sst_files->Add(-published_.sst_files);
+  m->sst_bytes->Add(-published_.sst_bytes);
+  m->memtable_bytes->Add(-published_.memtable_bytes);
+  m->debt_bytes->Add(-published_.debt_bytes);
+  m->block_cache_bytes->Add(-published_.block_cache_bytes);
+  published_ = Published{};
 }
 
 }  // namespace lsm

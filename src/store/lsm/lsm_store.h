@@ -53,8 +53,9 @@ struct LsmOptions {
   // SST layout knobs (see sst.h).
   size_t block_bytes = 4096;
   int bloom_bits_per_key = 10;
-  // Shared LRU cache over decoded-and-verified SST data blocks. Hot point
-  // reads skip the pread and the block CRC re-check. 0 disables it.
+  // Shared LRU cache over verified SST data blocks. Hot point reads skip
+  // the pread and the block CRC re-check. Only point reads fill it, and a
+  // retired SST's blocks leave it (see SstReader). 0 disables it.
   size_t block_cache_bytes = 8u << 20;
   // Acknowledge writes only after the WAL fsync. Off trades durability of
   // the last few writes for throughput (page-cache-only appends).
@@ -89,6 +90,13 @@ struct LsmStats {
   // Bytes above the per-level size targets (plus over-trigger L0 bytes):
   // how much work the compactor still owes.
   uint64_t compaction_debt_bytes = 0;
+  // Block cache: charge (block bytes + key + per-entry overhead, see
+  // EntryCharge) and entries now; hits and misses over every block lookup,
+  // point reads and scans alike. All zero when the cache is disabled.
+  size_t block_cache_bytes = 0;
+  size_t block_cache_entries = 0;
+  uint64_t block_cache_hits = 0;
+  uint64_t block_cache_misses = 0;
 };
 
 class LsmStore : public KeyValueStore {
@@ -156,6 +164,8 @@ class LsmStore : public KeyValueStore {
   // level shape.
   std::vector<std::pair<std::string, std::string>> LevelRangesForTest(
       int level);
+  // Keys ("<file>:<block>") currently in the block cache.
+  std::vector<std::string> BlockCacheKeysForTest();
 
  private:
   LsmStore(std::filesystem::path dir, LsmOptions options);
@@ -208,8 +218,8 @@ class LsmStore : public KeyValueStore {
   const std::filesystem::path dir_;
   const LsmOptions options_;
   // Block cache shared by every SstReader of this store (null if disabled).
-  // Never cleared: file numbers are monotonic, so entries for deleted SSTs
-  // simply age out.
+  // Point reads fill it; each SstReader erases its own blocks when the
+  // retired file's last reference drops.
   const std::shared_ptr<Cache> block_cache_;
 
   Mutex mu_;
@@ -250,6 +260,22 @@ class LsmStore : public KeyValueStore {
   std::atomic<uint64_t> bloom_checks_{0};
   std::atomic<uint64_t> bloom_negatives_{0};
   std::atomic<uint64_t> bloom_false_positives_{0};
+
+  // This store's last contribution to the process-wide dstore_lsm_*
+  // gauges and block-cache counters. The collector publishes the change
+  // since then, so the instruments sum over every open store.
+  struct Published {
+    double sst_files = 0;
+    double sst_bytes = 0;
+    double memtable_bytes = 0;
+    double debt_bytes = 0;
+    double block_cache_bytes = 0;
+    uint64_t block_cache_hits = 0;
+    uint64_t block_cache_misses = 0;
+  };
+  void PublishMetrics() EXCLUDES(publish_mu_, mu_);
+  Mutex publish_mu_;
+  Published published_ GUARDED_BY(publish_mu_);
 
   int collector_id_ = 0;
 };

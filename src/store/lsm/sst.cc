@@ -210,7 +210,17 @@ StatusOr<std::shared_ptr<SstReader>> SstReader::Open(
   return reader;
 }
 
-SstReader::~SstReader() { ::close(fd_); }
+SstReader::~SstReader() {
+  ::close(fd_);
+  if (block_cache_ == nullptr) return;
+  for (size_t i = 0; i < index_.size(); ++i) {
+    (void)block_cache_->Delete(BlockCacheKey(i));
+  }
+}
+
+std::string SstReader::BlockCacheKey(size_t index) const {
+  return std::to_string(number_) + ":" + std::to_string(index);
+}
 
 StatusOr<Bytes> SstReader::ReadRegion(uint64_t offset, uint32_t length,
                                       uint32_t expected_crc) const {
@@ -235,25 +245,27 @@ StatusOr<Bytes> SstReader::ReadRegion(uint64_t offset, uint32_t length,
   return region;
 }
 
-StatusOr<ValuePtr> SstReader::ReadRawBlock(size_t index) const {
+StatusOr<ValuePtr> SstReader::ReadRawBlock(size_t index,
+                                           bool fill_cache) const {
   const BlockHandle& handle = index_[index];
   std::string cache_key;
   if (block_cache_ != nullptr) {
-    cache_key = std::to_string(number_) + ":" + std::to_string(index);
+    cache_key = BlockCacheKey(index);
     StatusOr<ValuePtr> hit = block_cache_->Get(cache_key);
     if (hit.ok()) return std::move(hit).value();
   }
   DSTORE_ASSIGN_OR_RETURN(
       Bytes block, ReadRegion(handle.offset, handle.length, handle.crc));
-  ValuePtr cached = MakeValue(std::move(block));
-  if (block_cache_ != nullptr) {
-    (void)block_cache_->Put(cache_key, cached);
+  ValuePtr raw = MakeValue(std::move(block));
+  if (fill_cache && block_cache_ != nullptr) {
+    (void)block_cache_->Put(cache_key, raw);
   }
-  return cached;
+  return raw;
 }
 
 StatusOr<std::vector<SstEntry>> SstReader::ReadBlock(size_t index) const {
-  DSTORE_ASSIGN_OR_RETURN(const ValuePtr block, ReadRawBlock(index));
+  DSTORE_ASSIGN_OR_RETURN(const ValuePtr block,
+                          ReadRawBlock(index, /*fill_cache=*/false));
   return ParseDataBlock(*block);
 }
 
@@ -270,7 +282,9 @@ StatusOr<SstReader::LookupResult> SstReader::Get(const std::string& key,
       [](const BlockHandle& h, const std::string& k) { return h.last_key < k; });
   if (it == index_.end()) return result;  // kNotFound
   DSTORE_ASSIGN_OR_RETURN(
-      const ValuePtr raw, ReadRawBlock(static_cast<size_t>(it - index_.begin())));
+      const ValuePtr raw,
+      ReadRawBlock(static_cast<size_t>(it - index_.begin()),
+                   /*fill_cache=*/true));
   // Scan the block in place — entries are in internal-key order (seq
   // descending within a key), so the first entry matching `key` at or below
   // the snapshot is the visible version. Nothing is materialized until a

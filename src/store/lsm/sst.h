@@ -111,10 +111,15 @@ class SstWriter {
 // serves Get() via positioned reads (pread) — stateless per call, so a
 // single reader is shared by any number of threads without locking.
 //
-// When opened with a block cache, data blocks land in it keyed by
-// "<file>:<block>" after their CRC passes once; cache hits skip both the
-// pread and the re-verification. File numbers are never reused across a
-// store's lifetime, so a stale cache entry cannot alias a new file.
+// With a block cache, blocks are keyed "<file>:<block>" and the kind of
+// read sets the fill rule: a point Get() inserts the block it had to pread
+// (after its CRC passes once), while an SstIterator scan (compaction,
+// ListKeys, Count) uses a cached block but never inserts one. So the cache
+// holds only blocks a point read can still return. The destructor erases
+// every "<file>:*" key: the last reference to a retired SST is dropped only
+// once no reader holds it, so the erase cannot race a Get, and it costs
+// O(blocks) once per file. File numbers are never reused across a store's
+// lifetime, so a stale entry could never alias a new file either way.
 class SstReader {
  public:
   struct LookupResult {
@@ -165,8 +170,11 @@ class SstReader {
   // Reads and CRC-checks one region of the file.
   StatusOr<Bytes> ReadRegion(uint64_t offset, uint32_t length,
                              uint32_t expected_crc) const;
-  // Raw bytes of data block `index`, via the block cache when present.
-  StatusOr<ValuePtr> ReadRawBlock(size_t index) const;
+  std::string BlockCacheKey(size_t index) const;
+  // Raw bytes of data block `index`: the cached copy when there is one,
+  // else a verified pread that is inserted only if `fill_cache`.
+  StatusOr<ValuePtr> ReadRawBlock(size_t index, bool fill_cache) const;
+  // Decoded entries of block `index` for scans; never fills the cache.
   StatusOr<std::vector<SstEntry>> ReadBlock(size_t index) const;
 
   const int fd_;
@@ -182,8 +190,9 @@ class SstReader {
 };
 
 // Forward scan over every entry of one SST, in internal-key order. Used by
-// compaction and merged listings; decodes one block at a time. The reader
-// must outlive the iterator (callers pin it via FileMeta's shared_ptr).
+// compaction and merged listings; decodes one block at a time and leaves
+// the block cache as it found it. The reader must outlive the iterator
+// (callers pin it via FileMeta's shared_ptr).
 class SstIterator {
  public:
   explicit SstIterator(const SstReader* reader);

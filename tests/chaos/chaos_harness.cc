@@ -1,20 +1,22 @@
 #include "chaos_harness.h"
 
+#include <atomic>
 #include <cstdlib>
+#include <limits>
+#include <thread>
 
 namespace dstore {
 namespace chaos {
+namespace {
 
-std::string ChaosWorkload::KeyAt(int index) const {
-  return "chaos-k" + std::to_string(index);
-}
-
-std::string ChaosWorkload::ValueFor(const std::string& key, uint64_t tag) {
+std::string ValueFor(const std::string& key, uint64_t tag) {
   return key + "#" + std::to_string(tag);
 }
 
-std::optional<uint64_t> ChaosWorkload::TagOf(const std::string& key,
-                                             const std::string& value) {
+// Extracts the tag from a stored value for `key`; nullopt if the bytes were
+// never a value this harness wrote for that key.
+std::optional<uint64_t> TagOf(const std::string& key,
+                              const std::string& value) {
   const std::string prefix = key + "#";
   if (value.rfind(prefix, 0) != 0) return std::nullopt;
   const std::string digits = value.substr(prefix.size());
@@ -23,6 +25,170 @@ std::optional<uint64_t> ChaosWorkload::TagOf(const std::string& key,
   const uint64_t tag = std::strtoull(digits.c_str(), &end, 10);
   if (*end != '\0') return std::nullopt;
   return tag;
+}
+
+// --- Hot-key mix ------------------------------------------------------------
+
+constexpr uint64_t kNever = std::numeric_limits<uint64_t>::max();
+
+struct PutRecord {
+  int key = 0;
+  uint64_t tag = 0;
+  uint64_t invoke = 0;
+  uint64_t complete = kNever;  // kNever: errored, so uncertain
+};
+
+struct ReadRecord {
+  int key = 0;
+  std::optional<uint64_t> tag;  // nullopt: NotFound
+  std::string bad_bytes;        // set when the value carried no valid tag
+  uint64_t invoke = 0;
+  uint64_t complete = 0;
+};
+
+std::string HotKey(int index) { return "hot-k" + std::to_string(index); }
+
+}  // namespace
+
+Status RunHotKeyMix(KeyValueStore* store, const HotKeyConfig& config,
+                    HotKeyStats* stats) {
+  std::atomic<uint64_t> clock{0};
+  std::atomic<uint64_t> next_tag{1};
+  const int clients = config.writers + config.readers;
+  std::vector<std::vector<PutRecord>> puts(static_cast<size_t>(clients));
+  std::vector<std::vector<ReadRecord>> reads(static_cast<size_t>(clients));
+  std::vector<uint64_t> read_errors(static_cast<size_t>(clients), 0);
+  std::atomic<bool> wrong_arity{false};  // MultiGet owes one result per key
+
+  std::vector<std::thread> threads;
+  for (int c = 0; c < clients; ++c) {
+    threads.emplace_back([&, c] {
+      Random rng(config.seed * 1000 + static_cast<uint64_t>(c));
+      const bool writer = c < config.writers;
+      for (int op = 0; op < config.ops_per_client; ++op) {
+        if (writer) {
+          PutRecord put;
+          put.key = static_cast<int>(rng.Uniform(config.hot_keys));
+          put.tag = next_tag.fetch_add(1);
+          put.invoke = clock.fetch_add(1);
+          const std::string key = HotKey(put.key);
+          const Status st = store->PutString(key, ValueFor(key, put.tag));
+          const uint64_t done = clock.fetch_add(1);
+          if (st.ok()) put.complete = done;
+          puts[static_cast<size_t>(c)].push_back(put);
+          continue;
+        }
+        std::vector<int> picked;
+        std::vector<std::string> keys;
+        for (int i = 0; i < config.batch; ++i) {
+          picked.push_back(static_cast<int>(rng.Uniform(config.hot_keys)));
+          keys.push_back(HotKey(picked.back()));
+        }
+        const uint64_t invoke = clock.fetch_add(1);
+        const std::vector<StatusOr<ValuePtr>> got = store->MultiGet(keys);
+        const uint64_t complete = clock.fetch_add(1);
+        if (got.size() != keys.size()) wrong_arity.store(true);
+        for (size_t i = 0; i < got.size() && i < keys.size(); ++i) {
+          ReadRecord read;
+          read.key = picked[i];
+          read.invoke = invoke;
+          read.complete = complete;
+          if (got[i].ok()) {
+            const std::string bytes = ToString(**got[i]);
+            read.tag = TagOf(keys[i], bytes);
+            if (!read.tag.has_value()) {
+              read.bad_bytes = bytes.empty() ? "<empty>" : bytes;
+            }
+          } else if (!got[i].status().IsNotFound()) {
+            ++read_errors[static_cast<size_t>(c)];
+            continue;
+          }
+          reads[static_cast<size_t>(c)].push_back(std::move(read));
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  // Per key: every put, indexed by tag.
+  std::vector<std::map<uint64_t, PutRecord>> puts_by_key(
+      static_cast<size_t>(config.hot_keys));
+  HotKeyStats local;
+  for (const auto& list : puts) {
+    for (const PutRecord& put : list) {
+      puts_by_key[static_cast<size_t>(put.key)][put.tag] = put;
+      if (put.complete == kNever) {
+        ++local.put_errors;
+      } else {
+        ++local.puts_acked;
+      }
+    }
+  }
+  for (uint64_t errors : read_errors) local.read_errors += errors;
+
+  const auto violation = [&config](const std::string& what) {
+    return Status::Internal("hot-key invariant violated (seed=" +
+                            std::to_string(config.seed) + "): " + what);
+  };
+  if (wrong_arity.load()) {
+    return violation("a MultiGet returned a result count unequal to its keys");
+  }
+  for (const auto& list : reads) {
+    for (const ReadRecord& read : list) {
+      ++local.reads_checked;
+      const std::string key = HotKey(read.key);
+      const auto& key_puts = puts_by_key[static_cast<size_t>(read.key)];
+      // The latest-invoked put that completed before this read began: any
+      // value whose put completed before that one started is overwritten.
+      const PutRecord* overwriter = nullptr;
+      bool any_completed = false;
+      for (const auto& [tag, put] : key_puts) {
+        if (put.complete >= read.invoke) continue;
+        any_completed = true;
+        if (tag != read.tag.value_or(0) &&
+            (overwriter == nullptr || put.invoke > overwriter->invoke)) {
+          overwriter = &put;
+        }
+      }
+      if (!read.bad_bytes.empty()) {
+        return violation("read of " + key + " observed bytes never written: '" +
+                         read.bad_bytes + "'");
+      }
+      if (!read.tag.has_value()) {
+        if (any_completed) {
+          return violation("read of " + key +
+                           " returned NotFound after an acknowledged put");
+        }
+        continue;
+      }
+      const auto it = key_puts.find(*read.tag);
+      if (it == key_puts.end()) {
+        return violation("read of " + key + " observed tag " +
+                         std::to_string(*read.tag) + " that no put wrote");
+      }
+      if (it->second.invoke > read.complete) {
+        return violation("read of " + key + " observed tag " +
+                         std::to_string(*read.tag) +
+                         " before its put was issued");
+      }
+      if (overwriter != nullptr && it->second.complete < overwriter->invoke) {
+        return violation(
+            "stale read of " + key + ": tag " + std::to_string(*read.tag) +
+            " (acked at t" + std::to_string(it->second.complete) +
+            ") was overwritten by tag " + std::to_string(overwriter->tag) +
+            " (put t" + std::to_string(overwriter->invoke) + "-t" +
+            std::to_string(overwriter->complete) + ") before the read at t" +
+            std::to_string(read.invoke) + "-t" +
+            std::to_string(read.complete));
+      }
+    }
+  }
+  if (stats != nullptr) *stats = local;
+  return Status::OK();
+}
+
+std::string ChaosWorkload::KeyAt(int index) const {
+  return "chaos-k" + std::to_string(index);
 }
 
 Status ChaosWorkload::Violation(const std::string& what) const {

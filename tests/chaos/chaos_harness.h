@@ -63,6 +63,45 @@ struct ChaosStats {
   uint64_t op_errors = 0;      // operations that surfaced an error
 };
 
+// Concurrent clients on a small hot key set: `writers` threads Put and
+// `readers` threads MultiGet, all over the same keys. ChaosWorkload's model
+// assumes one client, so this mix records each operation's invocation and
+// completion on one logical clock and checks the history afterwards, per
+// key and per MultiGet result:
+//
+//  * a read returns bytes some Put of that key wrote, and that Put was
+//    invoked before the read completed (no read from the future);
+//  * no stale read: if Put A completed before Put B was invoked, and B
+//    completed before the read was invoked, the read must not return A;
+//  * no lost write: once a Put of the key completed, a read invoked later
+//    must not return NotFound.
+//
+// An errored Put is uncertain: it never completes, so it may be read at any
+// later point but never makes another value stale. Every linearizable
+// single-key store passes these checks; they do not order concurrent reads
+// against each other (so they are weaker than linearizability).
+struct HotKeyConfig {
+  uint64_t seed = 1;
+  int writers = 2;
+  int readers = 2;
+  int ops_per_client = 300;
+  int hot_keys = 4;   // keys hot-k0 .. hot-k{n-1}
+  int batch = 4;      // keys per MultiGet (drawn with replacement)
+};
+
+struct HotKeyStats {
+  uint64_t puts_acked = 0;
+  uint64_t put_errors = 0;
+  uint64_t reads_checked = 0;  // MultiGet results (value or NotFound)
+  uint64_t read_errors = 0;    // MultiGet results that surfaced an error
+};
+
+// Runs the mix against `store`, which must be thread-safe, then checks the
+// recorded history. Returns the first violation (message includes the
+// seed), or OK.
+Status RunHotKeyMix(KeyValueStore* store, const HotKeyConfig& config,
+                    HotKeyStats* stats = nullptr);
+
 class ChaosWorkload {
  public:
   explicit ChaosWorkload(const ChaosConfig& config)
@@ -87,11 +126,6 @@ class ChaosWorkload {
 
  private:
   std::string KeyAt(int index) const;
-  static std::string ValueFor(const std::string& key, uint64_t tag);
-  // Extracts the tag from a stored value for `key`; nullopt if the bytes
-  // were never a value this workload wrote for that key.
-  static std::optional<uint64_t> TagOf(const std::string& key,
-                                       const std::string& value);
   Status Violation(const std::string& what) const;
   void Digest(std::string_view piece);
 

@@ -5,17 +5,22 @@
 // no acknowledged-write loss, read-your-writes — must hold through every
 // failover, the final state must verify on every replica's backend after an
 // anti-entropy pass, and same-seed runs must produce identical promotion
-// traces.
+// traces. A third row races MultiGet against Put on a few hot keys while
+// the primary fails over, under the harness's concurrent history checker.
 
+#include <atomic>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "chaos_harness.h"
 #include "common/clock.h"
+#include "common/sync.h"
 #include "fault/fault.h"
 #include "net/latency_model.h"
 #include "replica/group.h"
@@ -24,6 +29,7 @@
 #include "replica/transport.h"
 #include "store/cloud_client.h"
 #include "store/cloud_server.h"
+#include "store/forwarding_store.h"
 #include "store/memory_store.h"
 #include "store/resilient_store.h"
 
@@ -174,6 +180,87 @@ TEST(ReplicaChaosTest, PrimaryKillsLoseNoAckedWrite) {
     ASSERT_TRUE(final.ok()) << final.ToString();
     (*server)->Stop();
   }
+}
+
+// Concurrent MultiGet and Put on four hot keys against a three-replica
+// group (W=2, read repair on) while another thread keeps killing the
+// primary, promoting the most caught-up backup and rejoining the victim.
+// Every MultiGet result is held to the hot-key checks: no read from the
+// future, no stale read past an acknowledged overwrite, no lost write.
+TEST(ReplicaChaosTest, HotKeyMultiGetAndPutSurviveFailovers) {
+  for (uint64_t seed : SeedMatrix()) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    std::vector<ReplicaGroup::ReplicaSpec> specs;
+    for (int i = 0; i < 3; ++i) {
+      specs.push_back({"r" + std::to_string(i),
+                       std::make_shared<replica::LocalReplica>(
+                           std::make_shared<MemoryStore>())});
+    }
+    auto group = ReplicaGroup::Create(std::move(specs), GroupOptions());
+    ASSERT_TRUE(group.ok()) << group.status().ToString();
+    auto replicated = std::make_shared<ReplicatedStore>(
+        std::shared_ptr<ReplicaGroup>(std::move(*group)));
+    RetryingStore store(replicated, FastRetries());
+
+    std::atomic<bool> done{false};
+    std::thread failovers([&] {
+      while (!done.load()) {
+        RealClock::Default()->SleepFor(2'000'000);
+        const std::string victim = replicated->group()->primary_name();
+        if (!replicated->group()->MarkDown(victim).ok()) continue;
+        (void)replicated->group()->Promote();
+        RealClock::Default()->SleepFor(2'000'000);
+        (void)replicated->group()->Rejoin(victim);
+      }
+    });
+
+    chaos::HotKeyConfig config;
+    config.seed = seed;
+    config.ops_per_client = 1500;
+    chaos::HotKeyStats stats;
+    const Status mix = chaos::RunHotKeyMix(&store, config, &stats);
+    done.store(true);
+    failovers.join();
+
+    ASSERT_TRUE(mix.ok()) << mix.ToString() << "\n"
+                          << replicated->group()->PromotionTrace();
+    EXPECT_GT(stats.puts_acked, 0u);
+    EXPECT_GT(stats.reads_checked, 0u);
+    EXPECT_GE(replicated->group()->epoch(), 2u)
+        << replicated->group()->PromotionTrace();
+  }
+}
+
+// The hot-key checker itself: a store that keeps serving the first value
+// ever written to each key must be caught once a later put is acknowledged.
+class FirstWriteStore : public PerKeyStore {
+ public:
+  using PerKeyStore::PerKeyStore;
+  Status Put(const std::string& key, ValuePtr value) override {
+    MutexLock lock(mu_);
+    first_.emplace(key, value);
+    return inner()->Put(key, std::move(value));
+  }
+  StatusOr<ValuePtr> Get(const std::string& key) override {
+    MutexLock lock(mu_);
+    auto it = first_.find(key);
+    if (it != first_.end()) return it->second;
+    return inner()->Get(key);
+  }
+
+ private:
+  Mutex mu_;
+  std::map<std::string, ValuePtr> first_ GUARDED_BY(mu_);
+};
+
+TEST(ReplicaChaosTest, HotKeyCheckerCatchesStaleReads) {
+  FirstWriteStore store(std::make_shared<MemoryStore>());
+  chaos::HotKeyConfig config;
+  config.ops_per_client = 1000;
+  const Status mix = chaos::RunHotKeyMix(&store, config);
+  ASSERT_FALSE(mix.ok());
+  EXPECT_NE(mix.ToString().find("stale read"), std::string::npos)
+      << mix.ToString();
 }
 
 // Quiescent determinism: with kills and restarts separated from workload

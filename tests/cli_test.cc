@@ -4,6 +4,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <filesystem>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -135,6 +136,28 @@ TEST(CliTest, ErrorsAreReportedNotFatal) {
   EXPECT_NE(out.find("not a sql store"), std::string::npos);
   EXPECT_NE(out.find("unknown command"), std::string::npos);
   EXPECT_NE(out.find("NotFound"), std::string::npos);  // still functional
+}
+
+TEST(CliTest, LsmStatsReportsBlockCache) {
+  const std::string dir = ::testing::TempDir() + "dstore_cli_lsm_" +
+                          std::to_string(::getpid());
+  const std::string out = RunCli("open l lsm " + dir +
+                                 "\n"
+                                 "put k v\n"
+                                 "lsm compact\n"
+                                 "get k\n"
+                                 "get k\n"
+                                 "lsm stats\n"
+                                 "quit\n");
+  // Compaction scanned the one block without caching it (1 miss); the
+  // first get read and cached it (1 miss), the second hit it.
+  EXPECT_NE(out.find("block cache: 0 bytes, 0 entries, 0 hits, 1 misses"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find(" bytes, 1 entries, 1 hits, 2 misses"),
+            std::string::npos)
+      << out;
+  std::filesystem::remove_all(dir);
 }
 
 TEST(CliTest, ShardTopologyWorkflow) {

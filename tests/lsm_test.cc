@@ -1,13 +1,15 @@
 // LsmStore unit suite: flush and compaction correctness, tombstone GC,
-// snapshot isolation across compactions, bloom-filter effectiveness, and
-// WAL replay on reopen. Crash-point recovery lives in
-// tests/chaos/crash_recovery_test.cc; the randomized soak in
-// tests/chaos/lsm_chaos_test.cc.
+// snapshot isolation across compactions, bloom-filter effectiveness, the
+// block cache's fill and retirement rules, and WAL replay on reopen.
+// Crash-point recovery lives in tests/chaos/crash_recovery_test.cc; the
+// randomized soak in tests/chaos/lsm_chaos_test.cc.
 
+#include <atomic>
 #include <filesystem>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 #include "store/lsm/format.h"
 #include "store/lsm/lsm_store.h"
 #include "store/lsm/memtable.h"
+#include "obs/metrics.h"
 
 namespace dstore {
 namespace lsm {
@@ -52,6 +55,29 @@ class LsmTest : public ::testing::Test {
     char buf[16];
     std::snprintf(buf, sizeof(buf), "key-%04d", i);
     return buf;
+  }
+
+  // File numbers of the SSTs on disk. After Flush/CompactAll return,
+  // retired inputs are already unlinked, so these are the live files.
+  std::set<uint64_t> SstNumbersOnDisk() const {
+    std::set<uint64_t> numbers;
+    for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+      uint64_t number = 0;
+      if (ParseSstFileName(entry.path().filename().string(), &number)) {
+        numbers.insert(number);
+      }
+    }
+    return numbers;
+  }
+
+  // Every cached block ("<file>:<block>") names a file that is still live.
+  void ExpectCacheNamesOnlyLiveFiles(LsmStore* store) const {
+    const std::set<uint64_t> live = SstNumbersOnDisk();
+    for (const std::string& key : store->BlockCacheKeysForTest()) {
+      const uint64_t number = std::stoull(key.substr(0, key.find(':')));
+      EXPECT_EQ(live.count(number), 1u) << "cached block " << key
+                                        << " belongs to a retired SST";
+    }
   }
 
   std::filesystem::path dir_;
@@ -379,6 +405,151 @@ TEST_F(LsmTest, AutomaticFlushAndCompactionUnderSmallMemtable) {
   for (int i = 400; i < 500; ++i) {
     EXPECT_EQ(*store->GetString(Key(i % 100)), "value-" + std::to_string(i));
   }
+}
+
+// Compaction and scans read every block of their inputs but leave the
+// block cache as they found it: with no point read, it stays empty.
+TEST_F(LsmTest, CompactionAndScansDoNotFillBlockCache) {
+  auto store = Open();
+  const std::string value(300, 'v');
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 200; ++i) {
+      ASSERT_TRUE(store->PutString(Key(i), value + std::to_string(round)).ok());
+    }
+    ASSERT_TRUE(store->Flush().ok());
+  }
+  ASSERT_TRUE(store->CompactAll().ok());
+  ASSERT_GE(store->GetStats().compactions, 1u);
+  EXPECT_EQ(*store->Count(), 200u);
+  EXPECT_EQ(store->ListKeys()->size(), 200u);
+
+  LsmStats stats = store->GetStats();
+  EXPECT_EQ(stats.block_cache_entries, 0u);
+  EXPECT_EQ(stats.block_cache_bytes, 0u);
+  EXPECT_GT(stats.block_cache_misses, 0u);  // scans did consult the cache
+
+  // A point read fills it with exactly the one block it had to read.
+  EXPECT_EQ(*store->GetString(Key(7)), value + "2");
+  stats = store->GetStats();
+  EXPECT_EQ(stats.block_cache_entries, 1u);
+  EXPECT_EQ(*store->GetString(Key(7)), value + "2");
+  EXPECT_EQ(store->GetStats().block_cache_hits, stats.block_cache_hits + 1);
+}
+
+// Over many put/flush/compact/read rounds the cache never holds more than
+// the live SSTs' blocks (plus per-entry charge), and never a block of a
+// file that compaction has retired.
+TEST_F(LsmTest, BlockCacheHoldsOnlyLiveBlocks) {
+  auto store = Open();
+  const std::string value(200, 'x');
+  for (int round = 0; round < 12; ++round) {
+    for (int i = 0; i < 300; ++i) {
+      ASSERT_TRUE(
+          store->PutString(Key(i), value + std::to_string(round)).ok());
+    }
+    ASSERT_TRUE(store->Flush().ok());
+    if (round % 2 == 1) {
+      ASSERT_TRUE(store->CompactAll().ok());
+    }
+    for (int i = 0; i < 300; ++i) {
+      ASSERT_EQ(*store->GetString(Key(i)), value + std::to_string(round));
+    }
+
+    const LsmStats stats = store->GetStats();
+    uint64_t live_bytes = 0;
+    for (const auto& level : stats.levels) live_bytes += level.bytes;
+    // Charge per entry: the "<file>:<block>" key plus EntryCharge's 64.
+    const uint64_t per_entry = 64 + 24;
+    EXPECT_LE(stats.block_cache_bytes,
+              live_bytes + stats.block_cache_entries * per_entry)
+        << "round " << round;
+    EXPECT_GT(stats.block_cache_entries, 0u);
+    ExpectCacheNamesOnlyLiveFiles(store.get());
+  }
+}
+
+// Point reads race compactions that keep rewriting (and retiring) the files
+// they read from. A Get that pinned the old version still reads the retired
+// file's blocks; its cache entries go only when the last reader lets go.
+TEST_F(LsmTest, GetRacingCompactionThatRetiresItsFileReturnsRightValue) {
+  auto store = Open();
+  const auto stable_value = [](int i) { return "stable-" + std::to_string(i); };
+  for (int i = 0; i < 200; i += 2) {
+    ASSERT_TRUE(store->PutString(Key(i), stable_value(i)).ok());
+  }
+  ASSERT_TRUE(store->Flush().ok());
+
+  std::atomic<bool> done{false};
+  std::atomic<int> wrong{0};
+  std::atomic<uint64_t> reads{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      int i = t * 2;
+      while (!done.load(std::memory_order_relaxed)) {
+        const StatusOr<std::string> got = store->GetString(Key(i));
+        if (!got.ok() || *got != stable_value(i)) wrong.fetch_add(1);
+        reads.fetch_add(1, std::memory_order_relaxed);
+        i = (i + 6) % 200;
+      }
+    });
+  }
+  // Odd keys interleave with the stable ones, so every compaction rewrites
+  // the files that hold the stable keys and retires the old ones. Failures
+  // are recorded, not asserted, so the readers are always joined.
+  Status churn;
+  for (int round = 0; round < 20 && churn.ok(); ++round) {
+    for (int i = 1; i < 200 && churn.ok(); i += 2) {
+      churn = store->PutString(Key(i), "churn-" + std::to_string(round));
+    }
+    if (churn.ok()) churn = store->Flush();
+    if (churn.ok()) churn = store->CompactAll();
+  }
+  done.store(true);
+  for (auto& reader : readers) reader.join();
+
+  ASSERT_TRUE(churn.ok()) << churn.ToString();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_GT(reads.load(), 0u);
+  EXPECT_GE(store->GetStats().compactions, 20u);
+  ExpectCacheNamesOnlyLiveFiles(store.get());
+}
+
+// The block-cache gauge sums over every open store and drops a store's
+// share when it closes; hits and misses are process-wide counters.
+TEST_F(LsmTest, BlockCacheMetricsSumOverStores) {
+  const auto family_value = [](const std::string& name) {
+    double total = 0;
+    for (const auto& family : obs::MetricsRegistry::Default()->Snapshot()) {
+      if (family.name != name) continue;
+      for (const auto& inst : family.instruments) total += inst.value;
+    }
+    return total;
+  };
+  const double bytes_before = family_value("dstore_lsm_block_cache_bytes");
+  const double hits_before = family_value("dstore_lsm_block_cache_hits_total");
+
+  auto a = Open();
+  auto b = LsmStore::Open(dir_.string() + "_b", QuietOptions());
+  ASSERT_TRUE(b.ok());
+  for (LsmStore* store : {a.get(), b->get()}) {
+    ASSERT_TRUE(store->PutString("k", "v").ok());
+    ASSERT_TRUE(store->Flush().ok());
+    ASSERT_TRUE(store->Get("k").ok());  // miss, fill
+    ASSERT_TRUE(store->Get("k").ok());  // hit
+  }
+  const size_t expected =
+      a->GetStats().block_cache_bytes + (*b)->GetStats().block_cache_bytes;
+  EXPECT_EQ(family_value("dstore_lsm_block_cache_bytes") - bytes_before,
+            static_cast<double>(expected));
+  EXPECT_EQ(family_value("dstore_lsm_block_cache_hits_total") - hits_before,
+            2.0);
+
+  b->reset();
+  std::error_code ec;
+  std::filesystem::remove_all(dir_.string() + "_b", ec);
+  EXPECT_EQ(family_value("dstore_lsm_block_cache_bytes") - bytes_before,
+            static_cast<double>(a->GetStats().block_cache_bytes));
 }
 
 TEST_F(LsmTest, NameIdentifiesBackendAndPath) {

@@ -400,6 +400,47 @@ TEST(ReplicaGroupTest, PromotionFencesTheDeposedPrimary) {
       (*group)->Write(OpType::kPut, "b", MakeValue(std::string_view("2"))).ok());
 }
 
+// A store whose first Put parks until released: it holds an apply in flight.
+class ParkingStore : public ForwardingStore {
+ public:
+  ParkingStore() : ForwardingStore(std::make_shared<MemoryStore>()) {}
+  Status Put(const std::string& key, ValuePtr value) override {
+    if (!parked_.exchange(true)) {
+      entered_.store(true);
+      while (!release_.load()) std::this_thread::yield();
+    }
+    return inner()->Put(key, std::move(value));
+  }
+  std::atomic<bool> entered_{false};
+  std::atomic<bool> release_{false};
+
+ private:
+  std::atomic<bool> parked_{false};
+};
+
+// Across a promotion one replica can see two applies at once: the
+// replicator's apply of a deposed epoch's entry is still in flight when the
+// replica, now primary, is fenced and takes the new epoch's write to the
+// same key. The late apply must not land on top of the newer write.
+TEST(ReplicaTransportTest, FenceOrdersAnInFlightApply) {
+  auto store = std::make_shared<ParkingStore>();
+  replica::LocalReplica replica(store);
+  std::thread old_apply([&] {
+    (void)replica.Apply(MakePut(1, "k", "old"), /*epoch=*/1);
+  });
+  while (!store->entered_.load()) std::this_thread::yield();
+  std::thread new_term([&] {
+    ASSERT_TRUE(replica.Fence(/*epoch=*/2, /*max_applied=*/0).ok());
+    ASSERT_TRUE(replica.Apply(MakePut(1, "k", "new"), /*epoch=*/2).ok());
+  });
+  // Give the new term every chance to run ahead of the parked apply.
+  RealClock::Default()->SleepFor(20'000'000);
+  store->release_.store(true);
+  old_apply.join();
+  new_term.join();
+  EXPECT_EQ(*store->GetString("k"), "new");
+}
+
 // A failed inline primary apply must leave a hole the replicator backfills
 // in order — never a watermark that jumps the gap and claims history the
 // primary's backend does not hold.
