@@ -1,5 +1,6 @@
 // Microbenchmarks for the compression substrate: deflate levels (ablation
-// on chain depth / lazy matching), redundancy sensitivity, and inflate. The
+// on chain depth / lazy matching), redundancy sensitivity, inflate, and the
+// CRC-32 kernel every store format and the gzip trailer share. The
 // *Value rows use the DSCL's value sizes (1-4 KiB), where the fixed per-call
 // cost dominates; the 100 KB and 1 MB rows hide it.
 
@@ -8,6 +9,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "compress/crc32.h"
 #include "compress/deflate.h"
 #include "compress/gzip.h"
 #include "compress/huffman.h"
@@ -116,6 +118,18 @@ void BM_GzipDecompressValue(benchmark::State& state) {
   state.SetBytesProcessed(bytes);
 }
 BENCHMARK(BM_GzipDecompressValue)->Unit(benchmark::kMicrosecond);
+
+// CRC-32 over a buffer of state.range(0) bytes: 64 B is a WAL record
+// header's scale, 4 KiB an SST block, 64 KiB a large value or gzip body.
+void BM_Crc32(benchmark::State& state) {
+  const Bytes data = TestData(static_cast<size_t>(state.range(0)), 0.0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(data));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(1024)->Arg(4096)->Arg(65536);
 
 // Package-merge over the literal/length alphabet (286 symbols, 15-bit
 // limit) with the skewed, tie-heavy counts a 1-4 KiB block produces.

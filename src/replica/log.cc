@@ -6,7 +6,6 @@
 #include <cerrno>
 #include <utility>
 
-#include "compress/crc32.h"
 #include "fault/fault.h"
 #include "store/fs_util.h"
 
@@ -16,33 +15,10 @@ namespace replica {
 namespace {
 
 // File layout: a header record followed by one record per entry, each
-// framed [fixed32 length][fixed32 crc32][payload]. The header payload is
+// framed by AppendFramedRecord (store/fs_util.h). The header payload is
 // the magic "RL01" plus a varint base_seq, rewritten whenever trim or
 // truncation rewrites the file.
 constexpr char kMagic[] = "RL01";
-
-void AppendFramedRecord(Bytes* dst, const Bytes& payload) {
-  PutFixed32(dst, static_cast<uint32_t>(payload.size()));
-  PutFixed32(dst, Crc32(payload));
-  dst->insert(dst->end(), payload.begin(), payload.end());
-}
-
-StatusOr<Bytes> ReadFramedRecord(const Bytes& src, size_t* pos) {
-  if (*pos + 8 > src.size()) return Status::Corruption("torn record frame");
-  const uint32_t len = static_cast<uint32_t>(src[*pos]) |
-                       static_cast<uint32_t>(src[*pos + 1]) << 8 |
-                       static_cast<uint32_t>(src[*pos + 2]) << 16 |
-                       static_cast<uint32_t>(src[*pos + 3]) << 24;
-  const uint32_t crc = static_cast<uint32_t>(src[*pos + 4]) |
-                       static_cast<uint32_t>(src[*pos + 5]) << 8 |
-                       static_cast<uint32_t>(src[*pos + 6]) << 16 |
-                       static_cast<uint32_t>(src[*pos + 7]) << 24;
-  if (*pos + 8 + len > src.size()) return Status::Corruption("torn record");
-  Bytes payload(src.begin() + *pos + 8, src.begin() + *pos + 8 + len);
-  if (Crc32(payload) != crc) return Status::Corruption("record crc mismatch");
-  *pos += 8 + len;
-  return payload;
-}
 
 Bytes EncodeHeader(uint64_t base_seq) {
   Bytes payload;
@@ -133,26 +109,13 @@ StatusOr<std::unique_ptr<GroupLog>> GroupLog::Open(
   auto log = std::unique_ptr<GroupLog>(new GroupLog(std::move(name), path));
   MutexLock lock(log->mu_);
 
-  if (std::filesystem::exists(path, ec)) {
+  StatusOr<Bytes> read = ReadWholeFile(path);
+  if (!read.ok() && !read.status().IsNotFound()) return read.status();
+  if (read.ok()) {
     // Recover: replay intact records; a torn or corrupt tail — the residue
     // of a crash mid-append — is cut off so later appends cannot land
     // behind garbage.
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) return Status::IOError("open replication log " + path.string());
-    Bytes contents;
-    uint8_t buf[1 << 16];
-    for (;;) {
-      const ssize_t n = ::read(fd, buf, sizeof(buf));
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        ::close(fd);
-        return Status::IOError("read replication log " + path.string());
-      }
-      if (n == 0) break;
-      contents.insert(contents.end(), buf, buf + n);
-    }
-    ::close(fd);
-
+    const Bytes& contents = *read;
     size_t pos = 0;
     bool saw_header = false;
     while (pos < contents.size()) {

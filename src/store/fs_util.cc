@@ -6,6 +6,8 @@
 #include <cerrno>
 #include <cstring>
 
+#include "compress/crc32.h"
+
 namespace dstore {
 
 Status SyncDir(const std::filesystem::path& dir) {
@@ -56,6 +58,51 @@ Status WriteFileDurably(const std::filesystem::path& path, const Bytes& data,
                            std::strerror(errno));
   }
   return Status::OK();
+}
+
+StatusOr<Bytes> ReadWholeFile(const std::filesystem::path& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
+    const int err = errno;
+    const std::string msg = "open " + path.string() + ": " + std::strerror(err);
+    return err == ENOENT ? Status::NotFound(msg) : Status::IOError(msg);
+  }
+  Bytes contents;
+  uint8_t buf[1 << 16];
+  for (;;) {
+    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      const std::string err = std::strerror(errno);
+      ::close(fd);
+      return Status::IOError("read " + path.string() + ": " + err);
+    }
+    if (n == 0) break;
+    contents.insert(contents.end(), buf, buf + n);
+  }
+  ::close(fd);
+  return contents;
+}
+
+void AppendFramedRecord(Bytes* dst, const Bytes& payload) {
+  PutFixed32(dst, static_cast<uint32_t>(payload.size()));
+  PutFixed32(dst, Crc32(payload));
+  dst->insert(dst->end(), payload.begin(), payload.end());
+}
+
+StatusOr<Bytes> ReadFramedRecord(const Bytes& src, size_t* pos) {
+  if (*pos + 8 > src.size()) return Status::Corruption("torn record header");
+  const uint8_t* record = src.data() + *pos;
+  const uint32_t len = DecodeFixed32(record);
+  if (*pos + 8 + len > src.size()) {
+    return Status::Corruption("torn record payload");
+  }
+  // Verify in place; copy the payload out only once it is known good.
+  if (Crc32(record + 8, len) != DecodeFixed32(record + 4)) {
+    return Status::Corruption("record CRC mismatch");
+  }
+  *pos += 8 + len;
+  return Bytes(record + 8, record + 8 + len);
 }
 
 }  // namespace dstore

@@ -10,7 +10,7 @@
 namespace dstore {
 
 // Durability helpers shared by the on-disk stores (FileStore, the SQL WAL,
-// the LSM engine).
+// the LSM engine, the replication log).
 //
 // POSIX rename() makes a file *visible* atomically, but the new directory
 // entry itself lives in the page cache until the directory is fsynced: a
@@ -33,6 +33,26 @@ Status SyncDir(const std::filesystem::path& dir) DSTORE_BLOCKING;
 // directory — publish paths do that after their rename.
 Status WriteFileDurably(const std::filesystem::path& path, const Bytes& data,
                         size_t limit) DSTORE_BLOCKING;
+
+// Reads all of `path`: NotFound if it does not exist, IOError on any other
+// failure.
+StatusOr<Bytes> ReadWholeFile(const std::filesystem::path& path);
+
+// --- Record framing ---------------------------------------------------------
+//
+// The LSM's WAL segments and MANIFEST, the replication log and the SQL WAL
+// are sequences of CRC-framed records:
+//   [fixed32 payload_len][fixed32 crc32(payload)][payload]
+// A torn tail (short header, short payload, or CRC mismatch) marks the end
+// of the valid prefix; readers stop there and report how many bytes were
+// good so the writer can truncate the tear away.
+
+// Appends one framed record to `dst`.
+void AppendFramedRecord(Bytes* dst, const Bytes& payload);
+
+// Reads the framed record starting at *pos; advances *pos past it. Returns
+// Corruption on a torn or corrupt record (with *pos unchanged).
+StatusOr<Bytes> ReadFramedRecord(const Bytes& src, size_t* pos);
 
 }  // namespace dstore
 

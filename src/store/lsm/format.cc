@@ -3,8 +3,6 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "compress/crc32.h"
-
 namespace dstore {
 namespace lsm {
 
@@ -49,30 +47,6 @@ bool ParseSstFileName(const std::string& name, uint64_t* number) {
 
 bool IsTempFileName(const std::string& name) {
   return name.size() > 4 && name.compare(name.size() - 4, 4, ".tmp") == 0;
-}
-
-void AppendFramedRecord(Bytes* dst, const Bytes& payload) {
-  PutFixed32(dst, static_cast<uint32_t>(payload.size()));
-  PutFixed32(dst, Crc32(payload));
-  dst->insert(dst->end(), payload.begin(), payload.end());
-}
-
-StatusOr<Bytes> ReadFramedRecord(const Bytes& src, size_t* pos) {
-  if (*pos + 8 > src.size()) {
-    return Status::Corruption("torn record header");
-  }
-  const uint32_t len = DecodeFixed32(src.data() + *pos);
-  const uint32_t crc = DecodeFixed32(src.data() + *pos + 4);
-  if (*pos + 8 + len > src.size()) {
-    return Status::Corruption("torn record payload");
-  }
-  Bytes payload(src.begin() + static_cast<ptrdiff_t>(*pos + 8),
-                src.begin() + static_cast<ptrdiff_t>(*pos + 8 + len));
-  if (Crc32(payload) != crc) {
-    return Status::Corruption("record CRC mismatch");
-  }
-  *pos += 8 + len;
-  return payload;
 }
 
 }  // namespace lsm

@@ -9,9 +9,9 @@
 namespace dstore {
 namespace lsm {
 
-// Shared on-disk vocabulary of the LSM engine (store/lsm/): internal keys,
-// file naming, and the record framing used by both the write-ahead log and
-// the manifest.
+// Shared on-disk vocabulary of the LSM engine (store/lsm/): internal keys
+// and file naming. The write-ahead log and the manifest frame their records
+// with AppendFramedRecord/ReadFramedRecord (store/fs_util.h).
 //
 // Every stored mutation is an *entry*: (user key, sequence number, type,
 // value). Sequence numbers are assigned by LsmStore in write order and are
@@ -56,21 +56,6 @@ inline constexpr char kManifestName[] = "MANIFEST";
 bool ParseWalFileName(const std::string& name, uint64_t* number);
 bool ParseSstFileName(const std::string& name, uint64_t* number);
 bool IsTempFileName(const std::string& name);
-
-// --- Record framing ---------------------------------------------------------
-//
-// WAL segments and the manifest are sequences of CRC-framed records:
-//   [fixed32 payload_len][fixed32 crc32(payload)][payload]
-// A torn tail (short header, short payload, or CRC mismatch) marks the end
-// of the valid prefix; readers stop there and report how many bytes were
-// good so the writer can truncate the tear away.
-
-// Appends one framed record to `dst`.
-void AppendFramedRecord(Bytes* dst, const Bytes& payload);
-
-// Reads the framed record starting at *pos; advances *pos past it. Returns
-// Corruption on a torn or corrupt record (with *pos unchanged).
-StatusOr<Bytes> ReadFramedRecord(const Bytes& src, size_t* pos);
 
 }  // namespace lsm
 }  // namespace dstore

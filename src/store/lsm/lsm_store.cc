@@ -583,7 +583,7 @@ StatusOr<FileMeta> LsmStore::WriteMemTableToSst(const MemTable& mem,
 void LsmStore::FlushImmLocked() {
   maintenance_active_ = true;
   const std::shared_ptr<MemTable> imm = imm_;
-  const std::shared_ptr<const Version> base = version_;
+  std::shared_ptr<const Version> base = version_;
   const uint64_t file_number = next_file_number_++;
   mu_.Unlock();
 
@@ -594,6 +594,10 @@ void LsmStore::FlushImmLocked() {
   Status status = meta.ok() ? Status::OK() : meta.status();
   if (status.ok()) {
     auto next = std::make_shared<Version>(*base);
+    // Let go of the old version before Flush() returns: a compaction may
+    // retire its files next, and their blocks leave the cache only with
+    // the last reference (~SstReader).
+    base.reset();
     next->levels[0].push_back(std::move(meta).value());
     status = PersistVersion(std::move(next), /*wal_floor=*/wal_number_);
   }

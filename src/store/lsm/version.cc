@@ -1,7 +1,6 @@
 #include "store/lsm/version.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "fault/fault.h"
 #include "store/fs_util.h"
@@ -102,25 +101,12 @@ Status SaveManifest(const std::filesystem::path& dir,
 }
 
 StatusOr<ManifestState> LoadManifest(const std::filesystem::path& dir) {
-  const std::filesystem::path path = dir / kManifestName;
-  std::error_code ec;
-  if (!std::filesystem::exists(path, ec)) {
-    return ManifestState{};  // fresh store
-  }
-  Bytes contents;
-  {
-    std::error_code size_ec;
-    const auto size = std::filesystem::file_size(path, size_ec);
-    if (size_ec) return Status::IOError("stat manifest: " + size_ec.message());
-    contents.resize(static_cast<size_t>(size));
-    FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) return Status::IOError("open manifest");
-    const size_t got = std::fread(contents.data(), 1, contents.size(), f);
-    std::fclose(f);
-    if (got != contents.size()) return Status::IOError("read manifest");
-  }
+  StatusOr<Bytes> contents = ReadWholeFile(dir / kManifestName);
+  if (contents.status().IsNotFound()) return ManifestState{};  // fresh store
+  DSTORE_RETURN_IF_ERROR(contents.status());
   size_t pos = 0;
-  DSTORE_ASSIGN_OR_RETURN(const Bytes payload, ReadFramedRecord(contents, &pos));
+  DSTORE_ASSIGN_OR_RETURN(const Bytes payload,
+                          ReadFramedRecord(*contents, &pos));
   size_t p = 0;
   if (payload.size() < 8 || DecodeFixed64(payload.data()) != kManifestMagic) {
     return Status::Corruption("manifest bad magic");

@@ -151,23 +151,7 @@ uint64_t WalWriter::bytes() {
 
 StatusOr<std::vector<Bytes>> ReadWalRecords(const std::filesystem::path& path,
                                             bool truncate_torn_tail) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return Status::IOError("open wal segment " + path.string());
-  }
-  Bytes contents;
-  uint8_t buf[1 << 16];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return Status::IOError("read wal segment " + path.string());
-    }
-    if (n == 0) break;
-    contents.insert(contents.end(), buf, buf + n);
-  }
-  ::close(fd);
+  DSTORE_ASSIGN_OR_RETURN(const Bytes contents, ReadWholeFile(path));
 
   std::vector<Bytes> records;
   size_t pos = 0;

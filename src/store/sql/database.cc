@@ -823,9 +823,7 @@ Status Database::AppendWal(std::string_view sql) {
     return fault::CrashedStatus("sql.wal.before_append");
   }
   Bytes record;
-  PutFixed32(&record, static_cast<uint32_t>(sql.size()));
-  PutFixed32(&record, Crc32(sql.data(), sql.size()));
-  record.insert(record.end(), sql.begin(), sql.end());
+  AppendFramedRecord(&record, ToBytes(sql));
   // A torn append crashes after writing only the first half of the record,
   // leaving the kind of partial tail ReplayWal must cope with.
   const bool torn = fault::CrashPointFires("sql.wal.torn_append");
@@ -867,24 +865,10 @@ Status Database::FlushWal(bool sync) {
 
 Status Database::ReplayWal() {
   const std::string wal_path = path_ + ".wal";
-  const int fd = ::open(wal_path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    if (errno == ENOENT) return Status::OK();
-    return Status::IOError("open WAL for replay: " + Errno());
-  }
-  Bytes content;
-  uint8_t buf[1 << 16];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return Status::IOError("read WAL: " + Errno());
-    }
-    if (n == 0) break;
-    content.insert(content.end(), buf, buf + n);
-  }
-  ::close(fd);
+  StatusOr<Bytes> read = ReadWholeFile(wal_path);
+  if (read.status().IsNotFound()) return Status::OK();
+  DSTORE_RETURN_IF_ERROR(read.status());
+  const Bytes& content = *read;
 
   {
     MutexLock lock(mu_);
@@ -894,14 +878,10 @@ Status Database::ReplayWal() {
   // End of the last record that left the log outside a BEGIN..COMMIT group;
   // everything past it (torn tails, dangling transactions) is discarded.
   size_t committed_pos = 0;
-  while (pos + 8 <= content.size()) {
-    const uint32_t len = DecodeFixed32(content.data() + pos);
-    const uint32_t crc = DecodeFixed32(content.data() + pos + 4);
-    if (pos + 8 + len > content.size()) break;  // torn tail record
-    const std::string sql(
-        reinterpret_cast<const char*>(content.data() + pos + 8), len);
-    if (Crc32(sql.data(), sql.size()) != crc) break;  // corrupt tail
-    auto parsed = ParseStatement(sql);
+  while (pos < content.size()) {
+    StatusOr<Bytes> sql = ReadFramedRecord(content, &pos);
+    if (!sql.ok()) break;  // torn or corrupt tail
+    auto parsed = ParseStatement(AsStringView(*sql));
     if (!parsed.ok()) break;
     MutexLock lock(mu_);
     auto result = ExecuteLocked(*parsed, "");
@@ -910,7 +890,6 @@ Status Database::ReplayWal() {
       // unless the log is damaged; stop here, keeping the durable prefix.
       break;
     }
-    pos += 8 + len;
     if (!in_txn_) committed_pos = pos;
   }
   {
@@ -935,25 +914,10 @@ Status Database::ReplayWal() {
 }
 
 Status Database::LoadSnapshot() {
-  const std::string snap_path = path_ + ".snapshot";
-  const int fd = ::open(snap_path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    if (errno == ENOENT) return Status::OK();
-    return Status::IOError("open snapshot: " + Errno());
-  }
-  Bytes content;
-  uint8_t buf[1 << 16];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return Status::IOError("read snapshot: " + Errno());
-    }
-    if (n == 0) break;
-    content.insert(content.end(), buf, buf + n);
-  }
-  ::close(fd);
+  StatusOr<Bytes> read = ReadWholeFile(path_ + ".snapshot");
+  if (read.status().IsNotFound()) return Status::OK();
+  DSTORE_RETURN_IF_ERROR(read.status());
+  const Bytes& content = *read;
 
   if (content.size() < sizeof(kSnapshotMagic) + 8 ||
       std::memcmp(content.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) !=

@@ -8,6 +8,7 @@
 #include "common/hash.h"
 #include "common/random.h"
 #include "compress/bitstream.h"
+#include "compress/gzip.h"
 #include "compress/huffman.h"
 
 namespace dstore {
@@ -16,6 +17,9 @@ namespace {
 // Recorded from the original symbol-list package-merge encoder.
 constexpr size_t kGoldenTotalBytes = 3272329;
 constexpr uint64_t kGoldenDigest = 2212221308955552213ull;
+// Recorded at the byte-at-a-time CRC-32, before the slicing kernel.
+constexpr size_t kGzipGoldenTotalBytes = 3277801;
+constexpr uint64_t kGzipGoldenDigest = 12303837921426254748ull;
 
 void ExpectRoundTrip(const Bytes& input, DeflateLevel level) {
   const Bytes compressed = DeflateCompress(input, level);
@@ -225,6 +229,23 @@ TEST(DeflateTest, GoldenDigestAtEveryLevel) {
   }
   EXPECT_EQ(total, kGoldenTotalBytes);
   EXPECT_EQ(digest, kGoldenDigest);
+}
+
+// The whole gzip container (header, body, CRC-32 and ISIZE trailer) is what
+// the DSCL's gzip transform stores, so it is pinned the same way.
+TEST(DeflateTest, GzipGoldenDigestAtEveryLevel) {
+  uint64_t digest = 0;
+  size_t total = 0;
+  for (const Bytes& input : GoldenCorpus()) {
+    for (DeflateLevel level : {DeflateLevel::kStored, DeflateLevel::kFast,
+                               DeflateLevel::kDefault, DeflateLevel::kBest}) {
+      const Bytes out = GzipCompress(input, level);
+      digest = Mix64(digest ^ Fnv1a64(out.data(), out.size()));
+      total += out.size();
+    }
+  }
+  EXPECT_EQ(total, kGzipGoldenTotalBytes);
+  EXPECT_EQ(digest, kGzipGoldenDigest);
 }
 
 TEST(DeflateTest, StoredLenNlenMismatchRejected) {

@@ -6,6 +6,8 @@
 
 #include <atomic>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <string>
@@ -14,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
+#include "common/random.h"
 #include "store/lsm/bloom.h"
 #include "store/lsm/format.h"
 #include "store/lsm/lsm_store.h"
@@ -550,6 +554,63 @@ TEST_F(LsmTest, BlockCacheMetricsSumOverStores) {
   std::filesystem::remove_all(dir_.string() + "_b", ec);
   EXPECT_EQ(family_value("dstore_lsm_block_cache_bytes") - bytes_before,
             static_cast<double>(a->GetStats().block_cache_bytes));
+}
+
+// Recorded at the byte-at-a-time CRC-32, before the slicing kernel: every
+// WAL, SST and MANIFEST byte a fixed write sequence leaves on disk.
+constexpr size_t kGoldenDirBytes = 121391;
+constexpr uint64_t kGoldenDirDigest = 10258532066330740717ull;
+
+// WAL framing, SST blocks, index, filter and footer and the MANIFEST are the
+// on-disk format: the same writes must keep producing the same bytes.
+TEST_F(LsmTest, OnDiskBytesGolden) {
+  {
+    auto store = Open();
+    Random rng(1705);
+    const auto value = [&rng] {
+      return rng.CompressibleBytes(16 + rng.Uniform(600), 0.5);
+    };
+    for (int i = 0; i < 400; ++i) {
+      ASSERT_TRUE(store->Put(Key(i), MakeValue(value())).ok());
+    }
+    ASSERT_TRUE(store->Flush().ok());
+    for (int i = 0; i < 400; i += 3) {
+      ASSERT_TRUE(store->Put(Key(i), MakeValue(value())).ok());
+    }
+    for (int i = 0; i < 400; i += 7) ASSERT_TRUE(store->Delete(Key(i)).ok());
+    ASSERT_TRUE(store->Flush().ok());
+    ASSERT_TRUE(store->CompactAll().ok());
+    // An unflushed tail, so the live WAL segment is not empty.
+    for (int i = 400; i < 420; ++i) {
+      ASSERT_TRUE(store->Put(Key(i), MakeValue(value())).ok());
+    }
+    ASSERT_TRUE(store->Delete(Key(1)).ok());
+  }
+  std::set<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    names.insert(entry.path().filename().string());
+  }
+  uint64_t digest = 0;
+  size_t total = 0;
+  int wals = 0;
+  int ssts = 0;
+  for (const std::string& name : names) {
+    uint64_t number = 0;
+    wals += ParseWalFileName(name, &number);
+    ssts += ParseSstFileName(name, &number);
+    std::ifstream in(dir_ / name, std::ios::binary);
+    const std::string contents((std::istreambuf_iterator<char>(in)),
+                               std::istreambuf_iterator<char>());
+    digest = Mix64(digest ^ Fnv1a64(name));
+    digest = Mix64(digest ^ Fnv1a64(contents));
+    total += contents.size();
+  }
+  // The digest covers all three file kinds.
+  EXPECT_EQ(names.count(kManifestName), 1u);
+  EXPECT_EQ(wals, 1);
+  EXPECT_EQ(ssts, 1);
+  EXPECT_EQ(total, kGoldenDirBytes);
+  EXPECT_EQ(digest, kGoldenDirDigest);
 }
 
 TEST_F(LsmTest, NameIdentifiesBackendAndPath) {

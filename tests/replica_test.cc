@@ -10,6 +10,7 @@
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
@@ -20,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "common/clock.h"
+#include "common/hash.h"
 
 #include "fault/fault.h"
 #include "fault/fault_store.h"
@@ -282,6 +284,41 @@ TEST(ReplicaLogTest, FailedAppendRestoresDurableWatermark) {
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ((*reopened)->last_seq(), 2u);
   EXPECT_EQ(ToString(*(*reopened)->EntryAt(2)->value), "v2");
+  std::filesystem::remove_all(dir);
+}
+
+// Recorded at the byte-at-a-time CRC-32, before the slicing kernel.
+constexpr size_t kGoldenLogBytes = 8248;
+constexpr uint64_t kGoldenLogDigest = 13264549909951200514ull;
+
+// The durable log's framing is its on-disk format: fixed appends (puts and a
+// delete) and a trim, which rewrites the file, must leave the same bytes.
+TEST(ReplicaLogTest, DurableLogBytesGolden) {
+  const auto dir = FreshDir("golden");
+  {
+    auto log = GroupLog::Open("g", dir);
+    ASSERT_TRUE(log.ok()) << log.status().ToString();
+    for (uint64_t seq = 1; seq <= 40; ++seq) {
+      LogEntry entry =
+          MakePut(seq, "key-" + std::to_string(seq),
+                  std::string(seq * 13, static_cast<char>('a' + seq % 26)));
+      entry.epoch = 1 + seq / 16;
+      if (seq % 9 == 0) {
+        entry.op = OpType::kDelete;
+        entry.value = nullptr;
+      }
+      ASSERT_TRUE((*log)->Append(entry).ok());
+    }
+    ASSERT_TRUE((*log)->TrimThrough(17).ok());
+    for (uint64_t seq = 41; seq <= 45; ++seq) {
+      ASSERT_TRUE((*log)->Append(MakePut(seq, "tail", "after-trim")).ok());
+    }
+  }
+  std::ifstream in(dir / "g.rlog", std::ios::binary);
+  const std::string contents((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+  EXPECT_EQ(contents.size(), kGoldenLogBytes);
+  EXPECT_EQ(Mix64(Fnv1a64(contents)), kGoldenLogDigest);
   std::filesystem::remove_all(dir);
 }
 

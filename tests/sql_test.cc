@@ -1,7 +1,10 @@
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "store/sql/database.h"
 #include "store/sql/lexer.h"
 #include "store/sql/parser.h"
@@ -554,6 +557,43 @@ TEST_F(SqlDurabilityTest, BlobsAndQuotesSurviveReplay) {
   ASSERT_EQ(result->rows.size(), 1u);
   EXPECT_EQ(result->rows[0][0].AsText(), "it's quoted");
   EXPECT_EQ(HexEncode(result->rows[0][1].AsBlob()), "0001fe");
+}
+
+// Recorded at the byte-at-a-time CRC-32, before the slicing kernel.
+constexpr size_t kGoldenWalBytes = 2082;
+constexpr uint64_t kGoldenWalDigest = 11606417735918026269ull;
+constexpr size_t kGoldenSnapshotBytes = 1045;
+constexpr uint64_t kGoldenSnapshotDigest = 9844312768511443492ull;
+
+std::string FileContents(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+// The WAL's record framing and the snapshot's layout and trailing CRC are
+// the on-disk format: fixed statements must keep producing the same bytes.
+TEST_F(SqlDurabilityTest, WalAndSnapshotBytesGolden) {
+  auto db = Database::Open(path_);
+  ASSERT_TRUE(db.ok());
+  ASSERT_TRUE((*db)->Execute(
+      "CREATE TABLE t (id INTEGER PRIMARY KEY, s TEXT, b BLOB)").ok());
+  for (int i = 0; i < 30; ++i) {
+    ASSERT_TRUE((*db)
+                    ->Execute("INSERT INTO t VALUES (" + std::to_string(i) +
+                              ", 'row " + std::string(i, 'x') + "', X'00" +
+                              std::to_string(10 + i) + "ff')")
+                    .ok());
+  }
+  ASSERT_TRUE((*db)->Execute("DELETE FROM t WHERE id = 7").ok());
+  const std::string wal = FileContents(path_ + ".wal");
+  EXPECT_EQ(wal.size(), kGoldenWalBytes);
+  EXPECT_EQ(Mix64(Fnv1a64(wal)), kGoldenWalDigest);
+
+  ASSERT_TRUE((*db)->Checkpoint().ok());
+  const std::string snapshot = FileContents(path_ + ".snapshot");
+  EXPECT_EQ(snapshot.size(), kGoldenSnapshotBytes);
+  EXPECT_EQ(Mix64(Fnv1a64(snapshot)), kGoldenSnapshotDigest);
 }
 
 }  // namespace
