@@ -3,14 +3,14 @@
 //   1. a two-phase-commit transaction moving value between two different
 //      stores, with its decision journal in a third;
 //   2. crash recovery rolling an in-doubt transaction forward;
-//   3. a mirrored store detecting and repairing replica divergence.
+//   3. a replica group over two stores repairing silent divergence.
 //
 //   ./atomic_updates
 
 #include <cstdio>
 
+#include "replica/replicated_store.h"
 #include "store/memory_store.h"
-#include "udsm/mirrored_store.h"
 #include "udsm/transaction.h"
 
 using namespace dstore;
@@ -60,22 +60,24 @@ int main() {
                 recovered.ok() ? recovered->c_str() : "<missing>");
   }
 
-  // --- 3. Replicas with consistency checking and repair ---
+  // --- 3. Replicas with anti-entropy repair ---
   {
     auto r1 = std::make_shared<MemoryStore>();
     auto r2 = std::make_shared<MemoryStore>();
-    MirroredStore mirror({r1, r2});
-    (void)mirror.PutString("config", "v1");
+    replica::ReplicaGroup::Options options;
+    options.write_quorum = 2;  // write concern "all" for two replicas
+    auto replicated = replica::ReplicatedStore::Create(
+        {{"r1", r1}, {"r2", r2}}, options);
+    if (!replicated.ok()) return 1;
+    (void)(*replicated)->PutString("config", "v1");
     (void)r2->PutString("config", "bit-rot");  // silent divergence
 
-    auto report = mirror.CheckConsistency();
-    std::printf("\nmirror consistent after corruption? %s (%zu divergent)\n",
-                report->consistent() ? "yes" : "no",
-                report->divergent.size());
-    mirror.Repair(/*source_index=*/0).ok();
-    report = mirror.CheckConsistency();
-    std::printf("after Repair(): consistent=%s, replica2 config=%s\n",
-                report->consistent() ? "yes" : "no",
+    auto repair = (*replicated)->group()->RepairPass();
+    std::printf("\nanti-entropy after corruption: %llu key(s) repaired\n",
+                repair.ok() ? static_cast<unsigned long long>(
+                                  repair->keys_repaired)
+                            : 0ull);
+    std::printf("after RepairPass(): replica2 config=%s\n",
                 r2->GetString("config")->c_str());
   }
   return 0;

@@ -1,47 +1,17 @@
 #include "cache/ring_cache.h"
 
-#include "common/hash.h"
-
 namespace dstore {
 
-namespace {
-
-// FNV-1a mixes its high bits poorly on short inputs, which clusters ring
-// positions; finish with a splitmix64 avalanche so positions and key
-// lookups spread across the full 64-bit ring.
-uint64_t RingHash(const std::string& s) {
-  uint64_t z = Fnv1a64(s);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
-RingCache::RingCache(std::vector<Node> nodes, size_t virtual_nodes)
-    : virtual_nodes_(virtual_nodes == 0 ? 1 : virtual_nodes) {
+RingCache::RingCache(std::vector<Node> nodes) {
   for (Node& node : nodes) {
+    ring_.AddShard(node.name);
     nodes_.emplace(node.name, std::move(node.cache));
-  }
-  RebuildRing();
-}
-
-void RingCache::RebuildRing() {
-  ring_.clear();
-  for (const auto& [name, cache] : nodes_) {
-    for (size_t v = 0; v < virtual_nodes_; ++v) {
-      const std::string point = name + "#" + std::to_string(v);
-      ring_.emplace(RingHash(point), name);
-    }
   }
 }
 
 Cache* RingCache::Route(const std::string& key) const {
-  if (ring_.empty()) return nullptr;
-  // First ring point at or after the key's hash, wrapping around.
-  auto it = ring_.lower_bound(RingHash(key));
-  if (it == ring_.end()) it = ring_.begin();
-  return nodes_.at(it->second).get();
+  const std::string* owner = ring_.OwnerOf(key);
+  return owner == nullptr ? nullptr : nodes_.at(*owner).get();
 }
 
 Status RingCache::Put(const std::string& key, ValuePtr value) {
@@ -126,8 +96,8 @@ Status RingCache::AddNode(Node node) {
   if (nodes_.count(node.name) > 0) {
     return Status::AlreadyExists("node already in ring: " + node.name);
   }
+  ring_.AddShard(node.name);
   nodes_.emplace(node.name, std::move(node.cache));
-  RebuildRing();
   return Status::OK();
 }
 
@@ -136,7 +106,7 @@ Status RingCache::RemoveNode(const std::string& name) {
   if (nodes_.erase(name) == 0) {
     return Status::NotFound("no such ring node: " + name);
   }
-  RebuildRing();
+  ring_.RemoveShard(name);
   return Status::OK();
 }
 
@@ -147,10 +117,8 @@ size_t RingCache::node_count() const {
 
 std::string RingCache::NodeFor(const std::string& key) const {
   MutexLock lock(mu_);
-  if (ring_.empty()) return "";
-  auto it = ring_.lower_bound(RingHash(key));
-  if (it == ring_.end()) it = ring_.begin();
-  return it->second;
+  const std::string* owner = ring_.OwnerOf(key);
+  return owner == nullptr ? std::string() : *owner;
 }
 
 }  // namespace dstore

@@ -8,6 +8,7 @@
 
 #include "cache/cache.h"
 #include "common/sync.h"
+#include "shard/ring.h"
 
 namespace dstore {
 
@@ -18,9 +19,11 @@ namespace dstore {
 // discusses load balancing across memcached servers).
 //
 // Each node is any Cache implementation — typically a RemoteCache client to
-// a distinct server process. Keys map to nodes via a hash ring with virtual
-// nodes, so adding or removing a node remaps only ~1/N of the key space
-// (the rest keep their cached entries).
+// a distinct server process. Keys map to nodes through the same consistent-
+// hash ring that places shards (shard::HashRing, default options), so a key
+// routes to the node a ShardedStore with the same names would pick, and
+// adding or removing a node remaps only ~1/N of the key space (the rest
+// keep their cached entries).
 class RingCache : public Cache {
  public:
   struct Node {
@@ -28,8 +31,7 @@ class RingCache : public Cache {
     std::shared_ptr<Cache> cache;
   };
 
-  // `virtual_nodes` ring points per node; more = smoother balance.
-  explicit RingCache(std::vector<Node> nodes, size_t virtual_nodes = 64);
+  explicit RingCache(std::vector<Node> nodes);
 
   Status Put(const std::string& key, ValuePtr value) override;
   StatusOr<ValuePtr> Get(const std::string& key) override;
@@ -54,13 +56,10 @@ class RingCache : public Cache {
 
  private:
   Cache* Route(const std::string& key) const REQUIRES(mu_);
-  void RebuildRing() REQUIRES(mu_);
 
-  size_t virtual_nodes_;
   mutable Mutex mu_;
   std::map<std::string, std::shared_ptr<Cache>> nodes_ GUARDED_BY(mu_);
-  // ring position -> node name
-  std::map<uint64_t, std::string> ring_ GUARDED_BY(mu_);
+  shard::HashRing ring_ GUARDED_BY(mu_);
 };
 
 }  // namespace dstore

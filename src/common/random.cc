@@ -3,15 +3,16 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/hash.h"
+
 namespace dstore {
 
 namespace {
 // SplitMix64: seeds the xoshiro state from a single 64-bit seed.
 uint64_t SplitMix64(uint64_t* state) {
-  uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  const uint64_t z = Mix64(*state);
+  *state += kGoldenGamma;
+  return z;
 }
 
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }

@@ -16,7 +16,7 @@ uint64_t HashRing::VnodePoint(const std::string& name, size_t index) const {
   // Seed, shard identity, and vnode index each pass through the mixer so a
   // one-bit change in any of them relocates the point arbitrarily.
   return Mix64(options_.seed ^ Mix64(Fnv1a64(name)) ^
-               Mix64(static_cast<uint64_t>(index) * 0x9e3779b97f4a7c15ull));
+               Mix64(static_cast<uint64_t>(index) * kGoldenGamma));
 }
 
 bool HashRing::AddShard(const std::string& name) {

@@ -25,8 +25,8 @@ namespace dstore {
 
 // ShardedStore partitions one keyspace over N backend stores using the
 // consistent-hash ring in shard/ring.h. Any KeyValueStore can be a shard —
-// memory, file, SQL client, cloud client, a MirroredStore replica group, or
-// any decorated stack of those — and the composite is itself a
+// memory, file, SQL client, cloud client, a replica::ReplicatedStore group,
+// or any decorated stack of those — and the composite is itself a
 // KeyValueStore, so it nests under monitoring, retries, and the UDSM
 // registry like every other backend.
 //

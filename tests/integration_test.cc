@@ -13,13 +13,13 @@
 #include "dscl/tiered_store.h"
 #include "dscl/transformer.h"
 #include "net/latency_model.h"
+#include "replica/replicated_store.h"
 #include "store/cloud_client.h"
 #include "store/cloud_server.h"
 #include "store/file_store.h"
 #include "store/remote_cache.h"
 #include "store/sql_client.h"
 #include "store/sql_server.h"
-#include "udsm/mirrored_store.h"
 #include "udsm/transaction.h"
 #include "udsm/udsm.h"
 
@@ -176,23 +176,31 @@ TEST_F(IntegrationTest, TransactionSpansCloudAndSql) {
   }
 }
 
-TEST_F(IntegrationTest, MirrorAcrossHeterogeneousStores) {
-  MirroredStore mirror(
-      {udsm_.GetStoreShared("file"), udsm_.GetStoreShared("sql"),
-       udsm_.GetStoreShared("cloud")});
-  ASSERT_TRUE(mirror.PutString("replicated", "everywhere").ok());
+TEST_F(IntegrationTest, ReplicateAcrossHeterogeneousStores) {
+  replica::ReplicaGroup::Options options;
+  options.name = "integration";
+  options.write_quorum = 3;  // write concern "all"
+  auto replicated = replica::ReplicatedStore::Create(
+      {{"file", udsm_.GetStoreShared("file")},
+       {"sql", udsm_.GetStoreShared("sql")},
+       {"cloud", udsm_.GetStoreShared("cloud")}},
+      options);
+  ASSERT_TRUE(replicated.ok()) << replicated.status().ToString();
+  replica::ReplicaGroup* group = (*replicated)->group();
+  ASSERT_TRUE((*replicated)->PutString("replicated", "everywhere").ok());
+  ASSERT_TRUE(group->WaitForReplication().ok());
 
   for (const std::string name : {"file", "sql", "cloud"}) {
     EXPECT_EQ(*udsm_.GetStore(name)->GetString("replicated"), "everywhere")
         << name;
   }
 
-  // Corrupt one replica; detect and repair through the mirror.
+  // Corrupt one replica behind the group's back; anti-entropy repairs it
+  // from the primary.
   (void)udsm_.GetStore("sql")->PutString("replicated", "corrupted");
-  auto report = mirror.CheckConsistency();
-  ASSERT_TRUE(report.ok());
-  EXPECT_FALSE(report->consistent());
-  ASSERT_TRUE(mirror.Repair(0).ok());
+  auto repair = group->RepairPass();
+  ASSERT_TRUE(repair.ok()) << repair.status().ToString();
+  EXPECT_GE(repair->keys_repaired, 1u);
   EXPECT_EQ(*udsm_.GetStore("sql")->GetString("replicated"), "everywhere");
 }
 

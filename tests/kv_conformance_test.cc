@@ -34,7 +34,6 @@
 #include "store/resilient_store.h"
 #include "replica/placement.h"
 #include "replica/replicated_store.h"
-#include "udsm/mirrored_store.h"
 #include "udsm/monitor.h"
 #include "store/sql_client.h"
 #include "store/sql_server.h"
@@ -196,18 +195,6 @@ StoreFixture MakeShardedMemoryFixture() {
   return {std::make_unique<ShardedStore>(std::move(shards)), [] {}};
 }
 
-// Composition check: each shard is itself a MirroredStore replica group.
-StoreFixture MakeShardedMirroredFixture() {
-  ShardedStore::ShardList shards;
-  for (int i = 0; i < 2; ++i) {
-    std::vector<std::shared_ptr<KeyValueStore>> replicas = {
-        std::make_shared<MemoryStore>(), std::make_shared<MemoryStore>()};
-    shards.emplace_back("mir" + std::to_string(i),
-                        std::make_shared<MirroredStore>(std::move(replicas)));
-  }
-  return {std::make_unique<ShardedStore>(std::move(shards)), [] {}};
-}
-
 // A 3-replica primary-backup group over memory backends (W=2, R=2): the
 // replication layer must be behaviour-identical to a bare store.
 StoreFixture MakeReplicated3Fixture() {
@@ -221,6 +208,23 @@ StoreFixture MakeReplicated3Fixture() {
   auto store = replica::ReplicatedStore::Create(std::move(backends), options);
   EXPECT_TRUE(store.ok()) << store.status().ToString();
   return {*store, [] {}};
+}
+
+// The paper's cross-store replication: one group (W=2, R=2) whose replicas
+// are three different engines, including the LSM the composed stack serves.
+StoreFixture MakeReplicated3MixedFixture() {
+  const auto root = ScratchDir("mixed_");
+  auto file = FileStore::Open(root / "file");
+  EXPECT_TRUE(file.ok()) << file.status().ToString();
+  std::vector<replica::ReplicatedStore::Backend> backends = {
+      {"memory", std::make_shared<MemoryStore>()},
+      {"file", *std::move(file)},
+      {"lsm", OpenLsmAt(root / "lsm")}};
+  replica::ReplicaGroup::Options options;
+  options.name = "conformance-mixed";
+  auto store = replica::ReplicatedStore::Create(std::move(backends), options);
+  EXPECT_TRUE(store.ok()) << store.status().ToString();
+  return {*store, RemoveDir(root)};
 }
 
 // The paper-shaped topology: a sharded store whose shards are replica
@@ -433,11 +437,11 @@ INSTANTIATE_TEST_SUITE_P(
         Param{"shard1", &MakeShardedMemoryFixture<1>},
         Param{"shard3", &MakeShardedMemoryFixture<3>},
         Param{"shard8", &MakeShardedMemoryFixture<8>},
-        Param{"shard_mirror", &MakeShardedMirroredFixture},
         Param{"shard3_lsm", &MakeShardedLsmFixture},
         Param{"shard3_fault0",
               &Wrapped<&MakeShardedMemoryFixture<3>, &WrapFault0>},
         Param{"replicated3", &MakeReplicated3Fixture},
+        Param{"replicated3_mixed", &MakeReplicated3MixedFixture},
         Param{"replicated3_fault0",
               &Wrapped<&MakeReplicated3Fixture, &WrapFault0>},
         Param{"shard3_replicated", &MakeShardedReplicatedFixture},

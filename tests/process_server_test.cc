@@ -20,6 +20,17 @@
 namespace dstore {
 namespace {
 
+// In a forked child: replaces the process image with `binary args...`.
+[[noreturn]] void Exec(const std::string& binary,
+                       const std::vector<std::string>& args) {
+  std::vector<char*> argv;
+  argv.push_back(const_cast<char*>(binary.c_str()));
+  for (auto& arg : args) argv.push_back(const_cast<char*>(arg.c_str()));
+  argv.push_back(nullptr);
+  ::execv(binary.c_str(), argv.data());
+  _exit(127);
+}
+
 // Launches `binary` with `args`, waits for "LISTENING <port>" on its stdout.
 class ChildServer {
  public:
@@ -33,12 +44,7 @@ class ChildServer {
       ::dup2(pipe_fds[1], STDOUT_FILENO);
       ::close(pipe_fds[0]);
       ::close(pipe_fds[1]);
-      std::vector<char*> argv;
-      argv.push_back(const_cast<char*>(binary.c_str()));
-      for (auto& arg : args) argv.push_back(const_cast<char*>(arg.c_str()));
-      argv.push_back(nullptr);
-      ::execv(binary.c_str(), argv.data());
-      _exit(127);
+      Exec(binary, args);
     }
     ::close(pipe_fds[1]);
     // Parent: read until the LISTENING line.
@@ -75,6 +81,44 @@ class ChildServer {
   uint16_t port_ = 0;
   bool ok_ = false;
 };
+
+// Runs `binary` with `args` (output discarded) and returns its exit status,
+// or -1 if it did not exit normally.
+int ExitStatusOf(const std::string& binary,
+                 const std::vector<std::string>& args) {
+  const pid_t pid = ::fork();
+  if (pid < 0) return -1;
+  if (pid == 0) {
+    const int devnull = ::open("/dev/null", O_WRONLY);
+    ::dup2(devnull, STDOUT_FILENO);
+    ::dup2(devnull, STDERR_FILENO);
+    Exec(binary, args);
+  }
+  int wait_status = 0;
+  if (::waitpid(pid, &wait_status, 0) != pid) return -1;
+  return WIFEXITED(wait_status) ? WEXITSTATUS(wait_status) : -1;
+}
+
+// --eviction is the one way a deployment picks ClockCache or GdsCache over
+// the default LRU; each policy must serve a round trip.
+TEST(ProcessServerTest, CacheServerServesEveryEvictionPolicy) {
+  for (const std::string policy : {"clock", "gds"}) {
+    ChildServer server(DSTORE_CACHE_SERVER_PATH,
+                       {"--port=0", "--eviction=" + policy});
+    ASSERT_TRUE(server.ok()) << policy;
+    auto conn = RemoteCacheConnection::Connect("127.0.0.1", server.port());
+    ASSERT_TRUE(conn.ok()) << policy;
+    RemoteCacheStore store(*conn);
+    ASSERT_TRUE(store.PutString("k", policy).ok()) << policy;
+    EXPECT_EQ(*store.GetString("k"), policy);
+  }
+}
+
+TEST(ProcessServerTest, CacheServerRejectsUnknownEvictionPolicy) {
+  EXPECT_EQ(ExitStatusOf(DSTORE_CACHE_SERVER_PATH,
+                         {"--port=0", "--eviction=bogus"}),
+            2);
+}
 
 TEST(ProcessServerTest, CacheServerServesAcrossProcessBoundary) {
   ChildServer server(DSTORE_CACHE_SERVER_PATH,

@@ -357,6 +357,28 @@ TEST(ReplicaGroupTest, WriteFailsFastWhenQuorumInfeasible) {
   EXPECT_EQ(tg.group->log()->last_seq(), 0u);
 }
 
+// The paper's write concerns over a group whose third replica fails every
+// put: "one" (W=1) and "quorum" (W=2) ack, "all" (W=3) does not.
+TEST(ReplicaGroupTest, WriteConcernsMapToWriteQuorum) {
+  for (int quorum = 1; quorum <= 3; ++quorum) {
+    auto plan = std::make_shared<fault::FaultPlan>(42);
+    plan->AddRule(FailPuts(0));
+    ReplicaGroup::Options options =
+        FastOptions("t_concern" + std::to_string(quorum));
+    options.write_quorum = quorum;
+    options.write_wait_nanos = 200'000'000;
+    auto store = ReplicatedStore::Create(
+        {{"r0", std::make_shared<MemoryStore>()},
+         {"r1", std::make_shared<MemoryStore>()},
+         {"r2", std::make_shared<FaultInjectingStore>(
+                    std::make_shared<MemoryStore>(), plan)}},
+        options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    EXPECT_EQ((*store)->PutString("k", "v").ok(), quorum < 3)
+        << "W=" << quorum;
+  }
+}
+
 TEST(ReplicaGroupTest, NullPutValueRejected) {
   TestGroup tg = MakeGroup(3, FastOptions("t_null"));
   EXPECT_TRUE(

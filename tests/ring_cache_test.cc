@@ -7,6 +7,7 @@
 #include "cache/lru_cache.h"
 #include "cache/clock_cache.h"
 #include "common/random.h"
+#include "shard/ring.h"
 
 namespace dstore {
 namespace {
@@ -58,6 +59,16 @@ TEST(RingCacheTest, KeysSpreadAcrossNodes) {
   for (const auto& cache : backing) {
     EXPECT_GT(cache->EntryCount(), 25u);
     EXPECT_LT(cache->EntryCount(), 250u);
+  }
+}
+
+TEST(RingCacheTest, NodeForMatchesHashRingOwner) {
+  RingCache ring(MakeNodes(4));
+  shard::HashRing shards;
+  for (int i = 0; i < 4; ++i) shards.AddShard("node" + std::to_string(i));
+  for (int i = 0; i < 1000; ++i) {
+    const std::string key = "key" + std::to_string(i);
+    EXPECT_EQ(ring.NodeFor(key), *shards.OwnerOf(key)) << key;
   }
 }
 

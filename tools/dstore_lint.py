@@ -3,7 +3,8 @@
 
     python3 tools/dstore_lint.py [--list-rules] [paths...]
 
-With no paths, lints src/, tests/, bench/, examples/, and tools/. Exits
+With no paths, lints src/, tests/, bench/, examples/, and tools/, plus the
+#include lines of README.md, DESIGN.md, and docs/*.md. Exits
 non-zero when any finding is reported, printing one finding per line in
 the familiar file:line: message format.
 
@@ -40,6 +41,9 @@ or a bare `// NOLINT` comment):
                     calls, GetIfChanged, batches). Derive from
                     ForwardingStore (store/forwarding_store.h) and override
                     only the calls that change.
+  doc-include       An `#include "..."` in README.md, DESIGN.md, or
+                    docs/*.md that names no file under src/: a guide's
+                    snippet must not outlive the header it shows.
 
 `--self-test` runs the embedded rule fixtures (each rule must fire on its
 positive snippet and stay quiet on its negative/suppressed one) and exits.
@@ -51,7 +55,9 @@ import sys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_DIRS = ["src", "tests", "bench", "examples", "tools"]
+DEFAULT_DOCS = ["README.md", "DESIGN.md", "docs"]
 CXX_EXTENSIONS = (".h", ".hpp", ".cc", ".cpp")
+DOC_EXTENSION = ".md"
 
 # The one place raw standard-library primitives are allowed: the annotated
 # wrappers themselves (sync.cc's validator graph also needs an
@@ -160,6 +166,20 @@ def lint_hand_forwarder(rel, text, lines, findings):
                  "re-forwarding KeyValueStore by hand"))
 
 
+DOC_INCLUDE_RE = re.compile(r'#include\s+"([^"]+)"')
+
+
+def lint_doc_includes(rel, lines, findings):
+    for i, line in enumerate(lines, start=1):
+        for m in DOC_INCLUDE_RE.finditer(line):
+            header = m.group(1)
+            if not os.path.isfile(os.path.join(REPO_ROOT, "src", header)) \
+                    and not suppressed(line, "doc-include"):
+                findings.append(
+                    (rel, i, "doc-include: %s is not a file under src/" %
+                     header))
+
+
 def lint_file(path, rel, findings):
     with open(path, encoding="utf-8", errors="replace") as f:
         lint_text(rel, f.read(), findings)
@@ -167,6 +187,9 @@ def lint_file(path, rel, findings):
 
 def lint_text(rel, text, findings):
     lines = text.split("\n")
+    if rel.endswith(DOC_EXTENSION):
+        lint_doc_includes(rel, lines, findings)
+        return
     is_header = rel.endswith((".h", ".hpp"))
     if is_header:
         lint_include_guard(rel, lines, findings)
@@ -291,6 +314,11 @@ SELF_TEST_FIXTURES = [
      "  std::vector<std::shared_ptr<KeyValueStore>> shards_;\n};\n"
      "class Kept : public KeyValueStore {  // NOLINT(dstore-hand-forwarder)\n"
      "  std::shared_ptr<KeyValueStore> inner_;\n};\n", []),
+    ("fx_doc.md",
+     "```cpp\n#include \"udsm/no_such_store.h\"\n```\n", ["doc-include"]),
+    ("fx_doc_ok.md",
+     "```cpp\n#include \"store/key_value.h\"\n#include <vector>\n"
+     "#include \"udsm/gone.h\"  // NOLINT(dstore-doc-include)\n```\n", []),
     ("fx_discard_ok.cc",
      "void F() {\n  (void)store->Put(key, value);\n"
      "  if (!store->Put(key, value).ok()) return;\n}\n", []),
@@ -318,7 +346,8 @@ def run_self_test():
 
 
 def collect_files(argv):
-    paths = argv or [os.path.join(REPO_ROOT, d) for d in DEFAULT_DIRS]
+    paths = argv or [os.path.join(REPO_ROOT, d)
+                     for d in DEFAULT_DIRS + DEFAULT_DOCS]
     files = []
     for p in paths:
         if os.path.isfile(p):
@@ -327,7 +356,7 @@ def collect_files(argv):
         for root, dirs, names in os.walk(p):
             dirs[:] = [d for d in dirs if not d.startswith(("build", "."))]
             for name in names:
-                if name.endswith(CXX_EXTENSIONS):
+                if name.endswith(CXX_EXTENSIONS + (DOC_EXTENSION,)):
                     files.append(os.path.join(root, name))
     return sorted(files)
 
