@@ -9,62 +9,63 @@ RingCache::RingCache(std::vector<Node> nodes) {
   }
 }
 
-Cache* RingCache::Route(const std::string& key) const {
+std::shared_ptr<Cache> RingCache::Route(const std::string& key) const {
+  MutexLock lock(mu_);
   const std::string* owner = ring_.OwnerOf(key);
-  return owner == nullptr ? nullptr : nodes_.at(*owner).get();
+  return owner == nullptr ? nullptr : nodes_.at(*owner);
+}
+
+std::vector<std::shared_ptr<Cache>> RingCache::AllNodes() const {
+  MutexLock lock(mu_);
+  std::vector<std::shared_ptr<Cache>> nodes;
+  nodes.reserve(nodes_.size());
+  for (const auto& [name, cache] : nodes_) nodes.push_back(cache);
+  return nodes;
 }
 
 Status RingCache::Put(const std::string& key, ValuePtr value) {
-  MutexLock lock(mu_);
-  Cache* node = Route(key);
+  const std::shared_ptr<Cache> node = Route(key);
   if (node == nullptr) return Status::Unavailable("ring has no nodes");
   return node->Put(key, std::move(value));
 }
 
 StatusOr<ValuePtr> RingCache::Get(const std::string& key) {
-  MutexLock lock(mu_);
-  Cache* node = Route(key);
+  const std::shared_ptr<Cache> node = Route(key);
   if (node == nullptr) return Status::Unavailable("ring has no nodes");
   return node->Get(key);
 }
 
 Status RingCache::Delete(const std::string& key) {
-  MutexLock lock(mu_);
-  Cache* node = Route(key);
+  const std::shared_ptr<Cache> node = Route(key);
   if (node == nullptr) return Status::Unavailable("ring has no nodes");
   return node->Delete(key);
 }
 
 void RingCache::Clear() {
-  MutexLock lock(mu_);
-  for (const auto& [name, cache] : nodes_) cache->Clear();
+  for (const auto& node : AllNodes()) node->Clear();
 }
 
 bool RingCache::Contains(const std::string& key) const {
-  MutexLock lock(mu_);
-  Cache* node = Route(key);
+  const std::shared_ptr<Cache> node = Route(key);
   return node != nullptr && node->Contains(key);
 }
 
 size_t RingCache::EntryCount() const {
-  MutexLock lock(mu_);
   size_t total = 0;
-  for (const auto& [name, cache] : nodes_) total += cache->EntryCount();
+  for (const auto& node : AllNodes()) total += node->EntryCount();
   return total;
 }
 
 size_t RingCache::ChargeUsed() const {
-  MutexLock lock(mu_);
   size_t total = 0;
-  for (const auto& [name, cache] : nodes_) total += cache->ChargeUsed();
+  for (const auto& node : AllNodes()) total += node->ChargeUsed();
   return total;
 }
 
 CacheStats RingCache::Stats() const {
-  MutexLock lock(mu_);
   CacheStats total;
-  for (const auto& [name, cache] : nodes_) {
-    const CacheStats stats = cache->Stats();
+  for (const auto& node : AllNodes()) {
+    const CacheStats stats = node->Stats();
     total.hits += stats.hits;
     total.misses += stats.misses;
     total.puts += stats.puts;
@@ -79,10 +80,9 @@ std::string RingCache::Name() const {
 }
 
 StatusOr<std::vector<std::string>> RingCache::Keys() const {
-  MutexLock lock(mu_);
   std::vector<std::string> keys;
-  for (const auto& [name, cache] : nodes_) {
-    DSTORE_ASSIGN_OR_RETURN(std::vector<std::string> node_keys, cache->Keys());
+  for (const auto& node : AllNodes()) {
+    DSTORE_ASSIGN_OR_RETURN(std::vector<std::string> node_keys, node->Keys());
     keys.insert(keys.end(), node_keys.begin(), node_keys.end());
   }
   return keys;

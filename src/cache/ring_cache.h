@@ -24,6 +24,10 @@ namespace dstore {
 // routes to the node a ShardedStore with the same names would pick, and
 // adding or removing a node remaps only ~1/N of the key space (the rest
 // keep their cached entries).
+//
+// The ring lock covers routing only: each call copies its node's
+// shared_ptr under it and calls the node outside it, so a slow node stalls
+// only the calls routed to it.
 class RingCache : public Cache {
  public:
   struct Node {
@@ -55,7 +59,9 @@ class RingCache : public Cache {
   std::string NodeFor(const std::string& key) const;
 
  private:
-  Cache* Route(const std::string& key) const REQUIRES(mu_);
+  // The node `key` routes to (null on an empty ring), and every node.
+  std::shared_ptr<Cache> Route(const std::string& key) const EXCLUDES(mu_);
+  std::vector<std::shared_ptr<Cache>> AllNodes() const EXCLUDES(mu_);
 
   mutable Mutex mu_;
   std::map<std::string, std::shared_ptr<Cache>> nodes_ GUARDED_BY(mu_);

@@ -154,29 +154,31 @@ class FaultPlan {
 // CrashedStatus(point); the test then reopens from disk and verifies
 // recovery. Fires are counted in dstore_fault_crashes_total{point=}.
 //
-// Instrumented points:
-//   sql.wal.before_append   nothing reaches the WAL
-//   sql.wal.torn_append     half the record's bytes reach the WAL
-//   sql.wal.before_fsync    appended but unsynced bytes are discarded
-//   sql.wal.after_fsync     durable, but the client sees an error
-//   file.put.before_write   temp file never created
-//   file.put.torn_write     half the value reaches the temp file
-//   file.put.before_rename  temp file complete but never renamed in
-//   file.put.before_dirsync renamed, but the directory entry not yet durable
-//   file.put.after_rename   durable, but the client sees an error
+// Instrumented points. The two durable-file protocols in store/fs_util.h
+// name theirs `<site>.<step>`, one step list per protocol:
+//
+//   log append (WalWriter)        publish (PublishFile)
+//   <site>.before_append          <site>.before_write
+//   <site>.torn_append            <site>.torn_write
+//   <site>.before_fsync           <site>.before_rename
+//   <site>.after_fsync            <site>.before_dirsync
+//                                 <site>.after_rename
+//
+//   before_append   nothing reaches the log
+//   torn_append     half the record's bytes reach the log
+//   before_fsync    appended but unsynced bytes are discarded
+//   after_fsync     durable, but the caller sees an error
+//   before_write    nothing is written
+//   torn_write      half the file reaches its temp file (left as litter)
+//   before_rename   temp file complete but never published
+//   before_dirsync  renamed, but the directory entry not yet durable
+//   after_rename    durable, but the caller sees an error
+//
+// Log sites: sql.wal, lsm.wal, replica.log. Publish sites: file.put,
+// lsm.sst, lsm.manifest, sql.snapshot, replica.log.rewrite.
+//
+// One point sits outside both protocols:
 //   cache.snapshot.torn_save  snapshot value truncated mid-write
-//   lsm.wal.before_append   nothing reaches the LSM WAL
-//   lsm.wal.torn_append     half the record's bytes reach the WAL
-//   lsm.wal.before_fsync    appended but unsynced bytes are discarded
-//   lsm.wal.after_fsync     durable, but the client sees an error
-//   lsm.sst.torn_write      half the SST reaches its temp file
-//   lsm.sst.before_rename   SST temp complete but never published
-//   lsm.manifest.torn_write    half the manifest reaches its temp file
-//   lsm.manifest.before_rename manifest temp complete, old version still live
-//   lsm.manifest.after_rename  durable, but the caller sees an error
-//   replica.log.torn_append    half the record reaches the replication log
-//   replica.log.before_sync    appended but unsynced bytes are discarded
-//   replica.log.after_sync     durable, but the caller sees an error
 //
 // The replication layer also consults FaultPlan sites "replica.handoff"
 // (op replay: break hinted-handoff replay to a rejoining replica) and

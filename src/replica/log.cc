@@ -1,13 +1,6 @@
 #include "replica/log.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <utility>
-
-#include "fault/fault.h"
-#include "store/fs_util.h"
 
 namespace dstore {
 namespace replica {
@@ -33,20 +26,6 @@ StatusOr<uint64_t> DecodeHeader(const Bytes& payload) {
   }
   size_t pos = 4;
   return GetVarint64(payload, &pos);
-}
-
-Status WriteAll(int fd, const uint8_t* data, size_t len,
-                const std::string& what) {
-  size_t written = 0;
-  while (written < len) {
-    const ssize_t n = ::write(fd, data + written, len - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError("append to " + what);
-    }
-    written += static_cast<size_t>(n);
-  }
-  return Status::OK();
 }
 
 }  // namespace
@@ -109,62 +88,28 @@ StatusOr<std::unique_ptr<GroupLog>> GroupLog::Open(
   auto log = std::unique_ptr<GroupLog>(new GroupLog(std::move(name), path));
   MutexLock lock(log->mu_);
 
-  StatusOr<Bytes> read = ReadWholeFile(path);
-  if (!read.ok() && !read.status().IsNotFound()) return read.status();
-  if (read.ok()) {
-    // Recover: replay intact records; a torn or corrupt tail — the residue
-    // of a crash mid-append — is cut off so later appends cannot land
-    // behind garbage.
-    const Bytes& contents = *read;
-    size_t pos = 0;
-    bool saw_header = false;
-    while (pos < contents.size()) {
-      const size_t record_start = pos;
-      StatusOr<Bytes> payload = ReadFramedRecord(contents, &pos);
-      if (!payload.ok()) {
-        pos = record_start;
-        break;
-      }
-      if (!saw_header) {
-        DSTORE_ASSIGN_OR_RETURN(log->base_seq_, DecodeHeader(*payload));
-        saw_header = true;
-        continue;
-      }
-      StatusOr<LogEntry> entry = DecodeLogEntry(*payload);
-      if (!entry.ok()) {
-        pos = record_start;
-        break;
-      }
-      log->entries_.push_back(std::move(entry).value());
-    }
-    if (pos < contents.size()) {
-      if (::truncate(path.c_str(), static_cast<off_t>(pos)) != 0) {
-        return Status::IOError("truncate torn log tail " + path.string());
-      }
-    }
-    if (!saw_header) {
-      // Empty or header-torn file: start fresh below.
-      log->entries_.clear();
-      log->base_seq_ = 0;
-      return log->RewriteLocked().ok()
-                 ? StatusOr<std::unique_ptr<GroupLog>>(std::move(log))
-                 : Status::IOError("reinitialize log " + path.string());
-    }
-    log->fd_ = ::open(path.c_str(), O_WRONLY | O_APPEND);
-    if (log->fd_ < 0) {
-      return Status::IOError("reopen replication log " + path.string());
-    }
-    log->synced_bytes_ = pos;
+  StatusOr<std::vector<LogRecord>> records = ReadLogRecords(path);
+  if (!records.ok() && !records.status().IsNotFound()) return records.status();
+  if (!records.ok() || records->empty()) {
+    // No log yet, or not even an intact header: start fresh.
+    DSTORE_RETURN_IF_ERROR(log->RewriteLocked());
     return log;
   }
-
-  DSTORE_RETURN_IF_ERROR(log->RewriteLocked());
+  // Recover the header and every entry up to the first torn, corrupt or
+  // undecodable record — the residue of a crash mid-append — and cut the
+  // file there, so later appends cannot land behind garbage.
+  DSTORE_ASSIGN_OR_RETURN(log->base_seq_,
+                          DecodeHeader(records->front().payload));
+  uint64_t keep = records->front().end;
+  for (size_t i = 1; i < records->size(); ++i) {
+    StatusOr<LogEntry> entry = DecodeLogEntry((*records)[i].payload);
+    if (!entry.ok()) break;
+    log->entries_.push_back(std::move(entry).value());
+    keep = (*records)[i].end;
+  }
+  DSTORE_ASSIGN_OR_RETURN(log->writer_,
+                          WalWriter::Open(path, "replica.log", keep));
   return log;
-}
-
-GroupLog::~GroupLog() {
-  MutexLock lock(mu_);
-  if (fd_ >= 0) ::close(fd_);
 }
 
 Status GroupLog::Append(const LogEntry& entry) {
@@ -174,59 +119,16 @@ Status GroupLog::Append(const LogEntry& entry) {
   if (entry.seq != expect) {
     return Status::Internal("log " + name_ + ": non-contiguous append");
   }
-  if (durable_) DSTORE_RETURN_IF_ERROR(AppendDurableLocked(entry));
-  entries_.push_back(entry);
-  return Status::OK();
-}
-
-Status GroupLog::AppendDurableLocked(const LogEntry& entry) {
-  if (fd_ < 0) {
-    return Status::IOError("replication log " + path_.string() +
-                           " lost its append descriptor");
-  }
-  Bytes record;
-  AppendFramedRecord(&record, EncodeLogEntry(entry));
-  // A failed append must leave the file exactly at the durable watermark:
-  // torn or duplicate bytes past it would make a retried append land behind
-  // garbage, and recovery would then truncate away later fully-synced
-  // records. (Crash points are exempt: they model process death, and the
-  // torn artifact is what reopen-recovery is supposed to find.)
-  auto restore = [this]() REQUIRES(mu_) {
-    if (::ftruncate(fd_, static_cast<off_t>(synced_bytes_)) == 0 &&
-        ::lseek(fd_, static_cast<off_t>(synced_bytes_), SEEK_SET) >= 0) {
-      return;
+  if (durable_) {
+    if (writer_ == nullptr) {
+      return Status::IOError("replication log " + path_.string() +
+                             " is closed after a failed rewrite");
     }
-    // Unrestorable: drop the descriptor so later appends fail loudly
-    // instead of corrupting the record stream.
-    ::close(fd_);
-    fd_ = -1;
-  };
-  const bool torn = fault::CrashPointFires("replica.log.torn_append");
-  const size_t to_write = torn ? record.size() / 2 : record.size();
-  const Status written = WriteAll(fd_, record.data(), to_write, path_.string());
-  if (!written.ok()) {
-    restore();
-    return written;
+    DSTORE_ASSIGN_OR_RETURN(const uint64_t end,
+                            writer_->Append(EncodeLogEntry(entry)));
+    DSTORE_RETURN_IF_ERROR(writer_->Sync(end));
   }
-  if (torn) return fault::CrashedStatus("replica.log.torn_append");
-  if (fault::CrashPointFires("replica.log.before_sync")) {
-    // A crash before fsync loses whatever only the page cache held; model
-    // it by cutting the file back to the durable watermark.
-    (void)::ftruncate(fd_, static_cast<off_t>(synced_bytes_));
-    (void)::lseek(fd_, static_cast<off_t>(synced_bytes_), SEEK_SET);
-    return fault::CrashedStatus("replica.log.before_sync");
-  }
-  if (::fsync(fd_) != 0) {
-    restore();
-    return Status::IOError("fsync replication log " + path_.string());
-  }
-  synced_bytes_ += record.size();
-  if (fault::CrashPointFires("replica.log.after_sync")) {
-    // Durable, but the caller sees an error — the acked-or-not ambiguity
-    // recovery has to tolerate.
-    entries_.push_back(entry);
-    return fault::CrashedStatus("replica.log.after_sync");
-  }
+  entries_.push_back(entry);
   return Status::OK();
 }
 
@@ -237,21 +139,11 @@ Status GroupLog::RewriteLocked() {
   for (const auto& entry : entries_) {
     AppendFramedRecord(&contents, EncodeLogEntry(entry));
   }
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-  const std::filesystem::path tmp = path_.string() + ".tmp";
-  DSTORE_RETURN_IF_ERROR(WriteFileDurably(tmp, contents, contents.size()));
-  std::error_code ec;
-  std::filesystem::rename(tmp, path_, ec);
-  if (ec) return Status::IOError("publish replication log " + path_.string());
-  DSTORE_RETURN_IF_ERROR(SyncDir(path_.parent_path()));
-  fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND);
-  if (fd_ < 0) {
-    return Status::IOError("reopen replication log " + path_.string());
-  }
-  synced_bytes_ = contents.size();
+  writer_.reset();
+  DSTORE_RETURN_IF_ERROR(PublishFile(path_.string() + ".tmp", path_, contents,
+                                     "replica.log.rewrite"));
+  DSTORE_ASSIGN_OR_RETURN(
+      writer_, WalWriter::Open(path_, "replica.log", contents.size()));
   return Status::OK();
 }
 

@@ -13,6 +13,7 @@
 #include "common/bytes.h"
 #include "common/status.h"
 #include "common/sync.h"
+#include "store/fs_util.h"
 
 namespace dstore {
 namespace replica {
@@ -46,15 +47,15 @@ StatusOr<LogEntry> DecodeLogEntry(const Bytes& payload);
 //
 // Two modes: in-memory (default — replication state only has to outlive the
 // process for crash tests, not for correctness, since backends hold the
-// data), or durable, where every append is CRC-framed into <dir>/<name>.rlog
-// and fsynced before it is acknowledged, and truncation/trim rewrite the
-// file through the fs_util temp-write -> rename -> SyncDir publish path.
-// Recovery truncates a torn tail, CrashMonkey-style.
+// data), or durable, where every append goes through a WalWriter
+// (store/fs_util.h) into <dir>/<name>.rlog and is fsynced before it is
+// acknowledged, and truncation/trim republish the whole file through
+// PublishFile. Recovery cuts a torn tail, CrashMonkey-style.
 //
-// Crash points (see fault.h): replica.log.torn_append (half the record's
-// bytes reach the file), replica.log.before_sync (appended but unsynced
-// bytes are discarded), replica.log.after_sync (durable, but the caller
-// sees an error).
+// Crash points (see fault.h): the append log's site is "replica.log"
+// (replica.log.{before_append,torn_append,before_fsync,after_fsync}), the
+// rewrite's is "replica.log.rewrite" (replica.log.rewrite.{before_write,
+// torn_write,before_rename,before_dirsync,after_rename}).
 //
 // Thread-safe.
 class GroupLog {
@@ -67,7 +68,6 @@ class GroupLog {
   static StatusOr<std::unique_ptr<GroupLog>> Open(
       std::string name, const std::filesystem::path& dir);
 
-  ~GroupLog();
   GroupLog(const GroupLog&) = delete;
   GroupLog& operator=(const GroupLog&) = delete;
 
@@ -102,10 +102,8 @@ class GroupLog {
   GroupLog(std::string name, std::filesystem::path path)
       : name_(std::move(name)), path_(std::move(path)), durable_(true) {}
 
-  Status AppendDurableLocked(const LogEntry& entry) REQUIRES(mu_)
-      DSTORE_BLOCKING;
-  // Rewrites the whole retained log through temp-write -> rename -> SyncDir
-  // (truncate/trim paths), then reopens the append descriptor.
+  // Republishes the whole retained log through PublishFile (truncate/trim
+  // paths), then reopens the append writer on it.
   Status RewriteLocked() REQUIRES(mu_) DSTORE_BLOCKING;
 
   const std::string name_;
@@ -113,10 +111,10 @@ class GroupLog {
   const bool durable_ = false;
 
   mutable Mutex mu_;
-  int fd_ GUARDED_BY(mu_) = -1;  // append descriptor; -1 in memory mode
+  // Null in memory mode, and after a failed rewrite.
+  std::unique_ptr<WalWriter> writer_ GUARDED_BY(mu_);
   std::deque<LogEntry> entries_ GUARDED_BY(mu_);
   uint64_t base_seq_ GUARDED_BY(mu_) = 0;
-  uint64_t synced_bytes_ GUARDED_BY(mu_) = 0;  // durable watermark
 };
 
 }  // namespace replica

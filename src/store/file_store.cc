@@ -7,7 +7,6 @@
 #include <cstring>
 #include <system_error>
 
-#include "fault/fault.h"
 #include "store/fs_util.h"
 
 namespace dstore {
@@ -35,76 +34,16 @@ std::filesystem::path FileStore::PathFor(const std::string& key) const {
 
 Status FileStore::Put(const std::string& key, ValuePtr value) {
   if (value == nullptr) return Status::InvalidArgument("null value");
-  if (fault::CrashPointFires("file.put.before_write")) {
-    return fault::CrashedStatus("file.put.before_write");
-  }
   std::filesystem::path temp_path;
   {
     MutexLock lock(temp_mu_);
     temp_path = root_ / ("tmp_" + std::to_string(temp_counter_++) + "_" +
                          std::to_string(::getpid()));
   }
-
-  const int fd = ::open(temp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return Status::IOError("open temp: " + Errno());
-
-  // A torn write crashes with only half the payload in the temp file —
-  // which stays behind as litter, exactly as after a real crash. The
-  // published entry is untouched because the rename never happens.
-  const bool torn = fault::CrashPointFires("file.put.torn_write");
-  const uint8_t* p = value->data();
-  size_t remaining = torn ? value->size() / 2 : value->size();
-  while (remaining > 0) {
-    const ssize_t n = ::write(fd, p, remaining);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      ::unlink(temp_path.c_str());
-      return Status::IOError("write: " + Errno());
-    }
-    p += n;
-    remaining -= static_cast<size_t>(n);
-  }
-  if (torn) {
-    ::close(fd);
-    return fault::CrashedStatus("file.put.torn_write");
-  }
-  if (options_.sync_writes && ::fsync(fd) != 0) {
-    ::close(fd);
-    ::unlink(temp_path.c_str());
-    return Status::IOError("fsync: " + Errno());
-  }
-  if (::close(fd) != 0) {
-    ::unlink(temp_path.c_str());
-    return Status::IOError("close: " + Errno());
-  }
-  if (fault::CrashPointFires("file.put.before_rename")) {
-    // Crash after the temp file is durable but before publication: the old
-    // value must still be visible, the temp file is litter.
-    return fault::CrashedStatus("file.put.before_rename");
-  }
-  if (::rename(temp_path.c_str(), PathFor(key).c_str()) != 0) {
-    ::unlink(temp_path.c_str());
-    return Status::IOError("rename: " + Errno());
-  }
-  if (fault::CrashPointFires("file.put.before_dirsync")) {
-    // Crash after rename but before the directory entry is durable: the
-    // kernel may or may not have flushed it, so recovery must tolerate
-    // either the old or the new value — never a torn one.
-    return fault::CrashedStatus("file.put.before_dirsync");
-  }
-  // rename() swaps the directory entry atomically, but only in the page
-  // cache; a power cut here could roll the directory back and lose the
-  // fully-synced file. Syncing the parent closes that gap.
-  if (options_.sync_writes) {
-    DSTORE_RETURN_IF_ERROR(SyncDir(root_));
-  }
-  if (fault::CrashPointFires("file.put.after_rename")) {
-    // Crash after publication: the new value is durable even though the
-    // caller never saw an acknowledgement.
-    return fault::CrashedStatus("file.put.after_rename");
-  }
-  return Status::OK();
+  // Litter a crash leaves (a tmp_ file) is invisible to ListKeys; a reader
+  // sees the old value or the new one, never a torn one.
+  return PublishFile(temp_path, PathFor(key), *value, "file.put",
+                     options_.sync_writes);
 }
 
 StatusOr<ValuePtr> FileStore::Get(const std::string& key) {

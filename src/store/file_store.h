@@ -12,14 +12,16 @@ namespace dstore {
 
 // File-system KeyValueStore: one file per key under a root directory — the
 // paper's "file system on the client node accessed via standard method
-// calls" data store. Writes go to a temp file and are renamed into place so
-// readers never observe partial values. Key bytes are hex-encoded in file
-// names, so arbitrary keys (including '/' and NUL) are safe.
+// calls" data store. Put publishes each value through PublishFile
+// (store/fs_util.h, crash-point site "file.put"), so readers never observe
+// partial values. Key bytes are hex-encoded in file names, so arbitrary keys
+// (including '/' and NUL) are safe.
 class FileStore : public KeyValueStore {
  public:
   struct Options {
-    // fsync file contents before rename. Durable but slower; off by default
-    // to match the paper's file-system baseline (ordinary buffered writes).
+    // fsync file contents before the rename and the directory after it.
+    // Durable but slower; off by default to match the paper's file-system
+    // baseline (ordinary buffered writes).
     bool sync_writes = false;
   };
 

@@ -161,15 +161,16 @@ StatusOr<std::unique_ptr<LsmStore>> LsmStore::Open(
 
   // Replay surviving WAL segments, oldest first. Records carry their own
   // sequence numbers, so replay reconstructs the exact multi-version state;
-  // a torn tail (crash mid-append) is truncated away.
+  // a torn tail (crash mid-append) ends a segment's replay. No append ever
+  // follows it: replayed segments are deleted once flushed below.
   store->mem_ = std::make_shared<MemTable>();
   uint64_t max_seq = store->last_sequence_;
   for (const uint64_t n : wal_files) {
-    DSTORE_ASSIGN_OR_RETURN(
-        const std::vector<Bytes> records,
-        ReadWalRecords(dir / WalFileName(n), /*truncate_torn_tail=*/true));
-    for (const Bytes& record : records) {
-      DSTORE_ASSIGN_OR_RETURN(DecodedBatch batch, DecodeWalBatch(record));
+    DSTORE_ASSIGN_OR_RETURN(const std::vector<LogRecord> records,
+                            ReadLogRecords(dir / WalFileName(n)));
+    for (const LogRecord& record : records) {
+      DSTORE_ASSIGN_OR_RETURN(DecodedBatch batch,
+                              DecodeWalBatch(record.payload));
       uint64_t seq = batch.first_seq;
       for (BatchEntry& e : batch.entries) {
         store->mem_->Add(seq, e.type, e.key, std::move(e.value));
@@ -202,8 +203,9 @@ StatusOr<std::unique_ptr<LsmStore>> LsmStore::Open(
   state.wal_floor = store->wal_number_;
   state.levels = store->version_->levels;
   DSTORE_RETURN_IF_ERROR(SaveManifest(dir, state));
-  DSTORE_ASSIGN_OR_RETURN(std::shared_ptr<WalWriter> wal,
-                          WalWriter::Create(dir / WalFileName(store->wal_number_)));
+  DSTORE_ASSIGN_OR_RETURN(
+      std::shared_ptr<WalWriter> wal,
+      WalWriter::Open(dir / WalFileName(store->wal_number_), "lsm.wal"));
   store->wal_ = std::move(wal);
   for (const uint64_t n : wal_files) {
     std::filesystem::remove(dir / WalFileName(n), ec);
@@ -287,8 +289,9 @@ Status LsmStore::WriteBatch(std::vector<BatchEntry> batch) {
     const uint64_t first_seq = last_sequence_ + 1;
     const Bytes payload = EncodeWalBatch(first_seq, batch);
     StatusOr<uint64_t> end = wal_->Append(payload);
-    // On a failed append the memtable is untouched; any torn bytes on disk
-    // are behind the synced watermark and are trimmed at recovery.
+    // On a failed append the memtable is untouched, and the writer has cut
+    // the segment back to its last whole record (or refuses every later
+    // append if it could not), so no acked record lands behind torn bytes.
     if (!end.ok()) return end.status();
     last_sequence_ += batch.size();
     uint64_t seq = first_seq;
@@ -325,7 +328,7 @@ Status LsmStore::RotateMemTable() {
   const uint64_t new_wal_number = next_file_number_++;
   DSTORE_ASSIGN_OR_RETURN(
       std::shared_ptr<WalWriter> new_wal,
-      WalWriter::Create(dir_ / WalFileName(new_wal_number)));
+      WalWriter::Open(dir_ / WalFileName(new_wal_number), "lsm.wal"));
   imm_ = std::move(mem_);
   imm_wal_ = std::move(wal_);
   imm_wal_number_ = wal_number_;

@@ -11,6 +11,7 @@
 
 #include "cache/cache.h"
 #include "common/sync.h"
+#include "store/fs_util.h"
 #include "store/key_value.h"
 #include "store/lsm/memtable.h"
 #include "store/lsm/version.h"

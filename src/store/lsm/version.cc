@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "fault/fault.h"
 #include "store/fs_util.h"
 #include "store/lsm/format.h"
 
@@ -76,28 +75,10 @@ Status SaveManifest(const std::filesystem::path& dir,
   Bytes framed;
   AppendFramedRecord(&framed, payload);
 
-  const std::filesystem::path temp = dir / (std::string(kManifestName) + ".tmp");
-  const bool torn = fault::CrashPointFires("lsm.manifest.torn_write");
-  const size_t limit = torn ? framed.size() / 2 : framed.size();
-  DSTORE_RETURN_IF_ERROR(WriteFileDurably(temp, framed, limit));
-  if (torn) return fault::CrashedStatus("lsm.manifest.torn_write");
-  if (fault::CrashPointFires("lsm.manifest.before_rename")) {
-    // Temp fully written but MANIFEST still the old version: recovery sees
-    // the pre-edit state, which is always self-consistent.
-    return fault::CrashedStatus("lsm.manifest.before_rename");
-  }
-  std::error_code ec;
-  std::filesystem::rename(temp, dir / kManifestName, ec);
-  if (ec) {
-    return Status::IOError("rename manifest: " + ec.message());
-  }
-  DSTORE_RETURN_IF_ERROR(SyncDir(dir));
-  if (fault::CrashPointFires("lsm.manifest.after_rename")) {
-    // Durable, but the caller sees an error — the acked-state rules treat
-    // such writes as uncertain.
-    return fault::CrashedStatus("lsm.manifest.after_rename");
-  }
-  return Status::OK();
+  // A crash anywhere in the publish leaves the previous MANIFEST or the new
+  // one, each self-consistent.
+  return PublishFile(dir / (std::string(kManifestName) + ".tmp"),
+                     dir / kManifestName, framed, "lsm.manifest");
 }
 
 StatusOr<ManifestState> LoadManifest(const std::filesystem::path& dir) {

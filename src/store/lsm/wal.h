@@ -1,14 +1,11 @@
 #ifndef DSTORE_STORE_LSM_WAL_H_
 #define DSTORE_STORE_LSM_WAL_H_
 
-#include <filesystem>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/status.h"
-#include "common/sync.h"
 #include "store/lsm/format.h"
 
 namespace dstore {
@@ -25,10 +22,8 @@ namespace lsm {
 //   then per entry: u8 type, length-prefixed key,
 //   length-prefixed value (empty for tombstones)
 //
-// Crash points (CrashMonkey-style, see fault.h): lsm.wal.before_append,
-// lsm.wal.torn_append, lsm.wal.before_fsync (unsynced page-cache bytes are
-// discarded, modeled by truncating to the synced watermark), and
-// lsm.wal.after_fsync (durable, but the client sees an error).
+// Segments are written by WalWriter (store/fs_util.h) with crash-point
+// site "lsm.wal"; this header holds only the batch codec.
 
 // One mutation inside a WAL batch.
 struct BatchEntry {
@@ -46,53 +41,6 @@ struct DecodedBatch {
   std::vector<BatchEntry> entries;
 };
 StatusOr<DecodedBatch> DecodeWalBatch(const Bytes& payload);
-
-// Append-only segment writer with group fsync: concurrent committers all
-// call Sync(their offset); one becomes the leader, fsyncs once at the
-// current tail, and every waiter whose bytes that covered returns without
-// issuing its own fsync.
-class WalWriter {
- public:
-  // Creates (or truncates) the segment and fsyncs the parent directory so
-  // the new entry cannot vanish out from under its synced contents.
-  static StatusOr<std::unique_ptr<WalWriter>> Create(
-      const std::filesystem::path& path);
-
-  ~WalWriter();
-  WalWriter(const WalWriter&) = delete;
-  WalWriter& operator=(const WalWriter&) = delete;
-
-  // Appends one framed record; returns the segment length after the append
-  // (the offset to pass to Sync).
-  StatusOr<uint64_t> Append(const Bytes& payload) EXCLUDES(mu_);
-
-  // Blocks until every byte up to `offset` is durable. Group-commit: if
-  // another committer is mid-fsync, waits for that round and re-checks.
-  // fsyncs (or waits on a committer that is fsyncing): never call on a
-  // reactor loop thread.
-  Status Sync(uint64_t offset) EXCLUDES(mu_) DSTORE_BLOCKING;
-
-  const std::string& path() const { return path_; }
-  uint64_t bytes() EXCLUDES(mu_);
-
- private:
-  explicit WalWriter(std::string path, int fd) : path_(std::move(path)), fd_(fd) {}
-
-  const std::string path_;
-  const int fd_;
-
-  Mutex mu_;
-  CondVar cv_;
-  uint64_t bytes_ GUARDED_BY(mu_) = 0;   // appended (possibly unsynced)
-  uint64_t synced_ GUARDED_BY(mu_) = 0;  // durable watermark
-  bool syncing_ GUARDED_BY(mu_) = false;
-};
-
-// Reads every intact record of a segment in file order. A torn or corrupt
-// tail ends the scan; when `truncate_torn_tail` is set the tail is cut off
-// so later appends cannot land behind garbage.
-StatusOr<std::vector<Bytes>> ReadWalRecords(const std::filesystem::path& path,
-                                            bool truncate_torn_tail);
 
 }  // namespace lsm
 }  // namespace dstore

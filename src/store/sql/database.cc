@@ -1,15 +1,10 @@
 #include "store/sql/database.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstring>
 #include <filesystem>
 
 #include "compress/crc32.h"
-#include "fault/fault.h"
 #include "store/fs_util.h"
 #include "store/sql/parser.h"
 
@@ -17,10 +12,28 @@ namespace dstore::sql {
 
 namespace {
 
-std::string Errno() { return std::strerror(errno); }
-
 constexpr char kSnapshotMagic[8] = {'D', 'S', 'Q', 'L', 'S', 'N', 'A', 'P'};
-constexpr uint32_t kSnapshotVersion = 1;
+// Version 2 adds the WAL generation after the version field.
+constexpr uint32_t kSnapshotVersion = 2;
+
+// The WAL's optional first record: this magic (a leading NUL, so no SQL
+// text can match it) and a fixed64 generation. A WAL without one is
+// generation 0.
+constexpr char kWalMagic[8] = {'\0', 'D', 'S', 'Q', 'L', 'W', 'A', 'L'};
+
+Bytes EncodeWalHeader(uint64_t generation) {
+  Bytes out(kWalMagic, kWalMagic + sizeof(kWalMagic));
+  PutFixed64(&out, generation);
+  return out;
+}
+
+std::optional<uint64_t> DecodeWalHeader(const Bytes& payload) {
+  if (payload.size() != sizeof(kWalMagic) + 8 ||
+      std::memcmp(payload.data(), kWalMagic, sizeof(kWalMagic)) != 0) {
+    return std::nullopt;
+  }
+  return DecodeFixed64(payload.data() + sizeof(kWalMagic));
+}
 
 bool IsTruthy(const SqlValue& value) {
   if (value.is_null()) return false;
@@ -289,14 +302,6 @@ std::string Database::Table::EncodePk(const SqlValue& value) {
 
 Database::Database() = default;
 
-Database::~Database() {
-  MutexLock lock(mu_);
-  if (wal_fd_ >= 0) {
-    ::close(wal_fd_);
-    wal_fd_ = -1;
-  }
-}
-
 StatusOr<std::unique_ptr<Database>> Database::Open(const std::string& path,
                                                    const Options& options) {
   auto db = std::unique_ptr<Database>(new Database());
@@ -308,25 +313,10 @@ StatusOr<std::unique_ptr<Database>> Database::Open(const std::string& path,
   if (!parent.empty()) std::filesystem::create_directories(parent, ec);
 
   DSTORE_RETURN_IF_ERROR(db->LoadSnapshot());
-  DSTORE_RETURN_IF_ERROR(db->ReplayWal());
-
-  const std::string wal_path = path + ".wal";
-  const bool wal_existed = std::filesystem::exists(wal_path, ec);
+  DSTORE_ASSIGN_OR_RETURN(const uint64_t keep, db->ReplayWal());
   MutexLock lock(db->mu_);
-  db->wal_fd_ = ::open(wal_path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  if (db->wal_fd_ < 0) {
-    return Status::IOError("open WAL: " + Errno());
-  }
-  if (!wal_existed) {
-    // A freshly created segment is only a page-cache directory entry until
-    // the parent is fsynced; without this, a crash could discard the whole
-    // WAL even though individual commits were fsynced into it.
-    DSTORE_RETURN_IF_ERROR(
-        SyncDir(std::filesystem::path(wal_path).parent_path()));
-  }
-  const off_t size = ::lseek(db->wal_fd_, 0, SEEK_END);
-  db->wal_bytes_ = size < 0 ? 0 : static_cast<size_t>(size);
-  db->wal_synced_bytes_ = db->wal_bytes_;
+  DSTORE_ASSIGN_OR_RETURN(db->wal_,
+                          WalWriter::Open(path + ".wal", "sql.wal", keep));
   return db;
 }
 
@@ -362,12 +352,13 @@ StatusOr<ResultSet> Database::ExecuteLocked(const Statement& statement,
         // Bracket the statements with BEGIN/COMMIT marker records so a
         // crash mid-commit leaves a recognisably incomplete group that
         // ReplayWal rolls back atomically instead of applying a prefix.
-        DSTORE_RETURN_IF_ERROR(AppendWal("BEGIN"));
+        std::vector<Bytes> records;
+        records.push_back(ToBytes("BEGIN"));
         for (const std::string& sql : txn_wal_buffer_) {
-          DSTORE_RETURN_IF_ERROR(AppendWal(sql));
+          records.push_back(ToBytes(sql));
         }
-        DSTORE_RETURN_IF_ERROR(AppendWal("COMMIT"));
-        DSTORE_RETURN_IF_ERROR(FlushWal(options_.sync_commits));
+        records.push_back(ToBytes("COMMIT"));
+        DSTORE_RETURN_IF_ERROR(LogCommit(std::move(records)));
       }
       in_txn_ = false;
       txn_undo_.clear();
@@ -421,10 +412,9 @@ StatusOr<ResultSet> Database::ExecuteLocked(const Statement& statement,
     if (in_txn_) {
       txn_wal_buffer_.emplace_back(sql_for_wal);
     } else {
-      DSTORE_RETURN_IF_ERROR(AppendWal(sql_for_wal));
-      DSTORE_RETURN_IF_ERROR(FlushWal(options_.sync_commits));
+      DSTORE_RETURN_IF_ERROR(LogCommit({ToBytes(sql_for_wal)}));
       if (options_.checkpoint_wal_bytes > 0 &&
-          wal_bytes_ > options_.checkpoint_wal_bytes) {
+          wal_->bytes() > options_.checkpoint_wal_bytes) {
         DSTORE_RETURN_IF_ERROR(WriteSnapshotLocked());
       }
     }
@@ -817,100 +807,58 @@ StatusOr<ResultSet> Database::ExecDelete(const DeleteStatement& stmt) {
 
 // --- Durability ---
 
-Status Database::AppendWal(std::string_view sql) {
-  if (wal_fd_ < 0) return Status::Internal("WAL not open");
-  if (fault::CrashPointFires("sql.wal.before_append")) {
-    return fault::CrashedStatus("sql.wal.before_append");
+Status Database::LogCommit(std::vector<Bytes> records) {
+  // The first record after a checkpoint names the WAL's generation.
+  if (wal_generation_ > 0 && wal_->bytes() == 0) {
+    records.insert(records.begin(), EncodeWalHeader(wal_generation_));
   }
-  Bytes record;
-  AppendFramedRecord(&record, ToBytes(sql));
-  // A torn append crashes after writing only the first half of the record,
-  // leaving the kind of partial tail ReplayWal must cope with.
-  const bool torn = fault::CrashPointFires("sql.wal.torn_append");
-  const uint8_t* p = record.data();
-  size_t remaining = torn ? record.size() / 2 : record.size();
-  const size_t written = remaining;
-  while (remaining > 0) {
-    const ssize_t n = ::write(wal_fd_, p, remaining);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError("WAL write: " + Errno());
+  DSTORE_ASSIGN_OR_RETURN(const uint64_t end, wal_->Append(records));
+  return options_.sync_commits ? wal_->Sync(end) : Status::OK();
+}
+
+StatusOr<uint64_t> Database::ReplayWal() {
+  StatusOr<std::vector<LogRecord>> records = ReadLogRecords(path_ + ".wal");
+  if (records.status().IsNotFound()) return 0;
+  DSTORE_RETURN_IF_ERROR(records.status());
+
+  MutexLock lock(mu_);
+  // A WAL without a header predates the first checkpoint: generation 0.
+  size_t next = 0;
+  uint64_t generation = 0;
+  if (!records->empty()) {
+    if (std::optional<uint64_t> header =
+            DecodeWalHeader(records->front().payload)) {
+      generation = *header;
+      next = 1;
     }
-    p += n;
-    remaining -= static_cast<size_t>(n);
   }
-  wal_bytes_ += written;
-  if (torn) return fault::CrashedStatus("sql.wal.torn_append");
-  return Status::OK();
-}
+  // A WAL older than the snapshot is already folded into it: a crash hit
+  // between the snapshot's publish and the WAL's reset. Replaying it would
+  // apply its statements twice.
+  if (generation < wal_generation_) return 0;
+  wal_generation_ = generation;
 
-Status Database::FlushWal(bool sync) {
-  if (wal_fd_ < 0) return Status::OK();
-  if (fault::CrashPointFires("sql.wal.before_fsync")) {
-    // A crash before fsync loses whatever still sat in the page cache.
-    // Truncate back to the synced watermark to model that loss.
-    ::ftruncate(wal_fd_, static_cast<off_t>(wal_synced_bytes_));
-    wal_bytes_ = wal_synced_bytes_;
-    return fault::CrashedStatus("sql.wal.before_fsync");
-  }
-  if (sync && ::fsync(wal_fd_) != 0) {
-    return Status::IOError("WAL fsync: " + Errno());
-  }
-  wal_synced_bytes_ = wal_bytes_;
-  if (fault::CrashPointFires("sql.wal.after_fsync")) {
-    return fault::CrashedStatus("sql.wal.after_fsync");
-  }
-  return Status::OK();
-}
-
-Status Database::ReplayWal() {
-  const std::string wal_path = path_ + ".wal";
-  StatusOr<Bytes> read = ReadWholeFile(wal_path);
-  if (read.status().IsNotFound()) return Status::OK();
-  DSTORE_RETURN_IF_ERROR(read.status());
-  const Bytes& content = *read;
-
-  {
-    MutexLock lock(mu_);
-    replaying_ = true;
-  }
-  size_t pos = 0;
   // End of the last record that left the log outside a BEGIN..COMMIT group;
-  // everything past it (torn tails, dangling transactions) is discarded.
-  size_t committed_pos = 0;
-  while (pos < content.size()) {
-    StatusOr<Bytes> sql = ReadFramedRecord(content, &pos);
-    if (!sql.ok()) break;  // torn or corrupt tail
-    auto parsed = ParseStatement(AsStringView(*sql));
+  // everything past it (torn tails, dangling transactions) is cut away when
+  // Open reopens the WAL for appending.
+  uint64_t committed = next == 0 ? 0 : records->front().end;
+  replaying_ = true;
+  for (; next < records->size(); ++next) {
+    auto parsed = ParseStatement(AsStringView((*records)[next].payload));
     if (!parsed.ok()) break;
-    MutexLock lock(mu_);
-    auto result = ExecuteLocked(*parsed, "");
-    if (!result.ok()) {
-      // A statement that applied before the crash cannot fail on replay
-      // unless the log is damaged; stop here, keeping the durable prefix.
-      break;
-    }
-    if (!in_txn_) committed_pos = pos;
+    // A statement that applied before the crash cannot fail on replay
+    // unless the log is damaged; stop here, keeping the durable prefix.
+    if (!ExecuteLocked(*parsed, "").ok()) break;
+    if (!in_txn_) committed = (*records)[next].end;
   }
-  {
-    MutexLock lock(mu_);
-    if (in_txn_) {
-      // The log ends inside a BEGIN..COMMIT group (torn commit). Undo the
-      // partial transaction atomically through the normal rollback path.
-      auto rollback = ParseStatement("ROLLBACK");
-      if (rollback.ok()) ExecuteLocked(*rollback, "").ok();
-    }
-    replaying_ = false;
+  if (in_txn_) {
+    // The log ends inside a BEGIN..COMMIT group (torn commit). Undo the
+    // partial transaction atomically through the normal rollback path.
+    auto rollback = ParseStatement("ROLLBACK");
+    if (rollback.ok()) ExecuteLocked(*rollback, "").ok();
   }
-  // Trim everything the replay rejected so future appends land after a
-  // valid record, not after garbage that would mask them on the next
-  // replay. Runs before the append fd opens (see Open).
-  if (committed_pos < content.size()) {
-    if (::truncate(wal_path.c_str(), static_cast<off_t>(committed_pos)) != 0) {
-      return Status::IOError("truncate WAL tail: " + Errno());
-    }
-  }
-  return Status::OK();
+  replaying_ = false;
+  return committed;
 }
 
 Status Database::LoadSnapshot() {
@@ -933,7 +881,12 @@ Status Database::LoadSnapshot() {
   size_t pos = sizeof(kSnapshotMagic);
   const uint32_t version = DecodeFixed32(content.data() + pos);
   pos += 4;
-  if (version != kSnapshotVersion) {
+  // Version 1 predates WAL generations: its WAL is generation 0.
+  uint64_t generation = 0;
+  if (version == kSnapshotVersion && content.size() >= pos + 8 + 8) {
+    generation = DecodeFixed64(content.data() + pos);
+    pos += 8;
+  } else if (version != 1) {
     return Status::Corruption("unsupported snapshot version");
   }
   const uint32_t num_tables = DecodeFixed32(content.data() + pos);
@@ -978,15 +931,21 @@ Status Database::LoadSnapshot() {
   }
   MutexLock lock(mu_);
   tables_ = std::move(tables);
+  wal_generation_ = generation;
   return Status::OK();
 }
 
 Status Database::WriteSnapshotLocked() {
   if (path_.empty()) return Status::OK();
 
+  // The snapshot names the WAL generation that continues it, so that after
+  // a crash between the publish and the WAL reset below, replay skips the
+  // WAL this snapshot has folded in.
+  const uint64_t generation = wal_generation_ + 1;
   Bytes out;
   out.insert(out.end(), kSnapshotMagic, kSnapshotMagic + sizeof(kSnapshotMagic));
   PutFixed32(&out, kSnapshotVersion);
+  PutFixed64(&out, generation);
   PutFixed32(&out, static_cast<uint32_t>(tables_.size()));
   for (const auto& [name, table] : tables_) {
     PutLengthPrefixed(&out, name);
@@ -1004,36 +963,10 @@ Status Database::WriteSnapshotLocked() {
   PutFixed32(&out, Crc32(out));
 
   const std::string snap_path = path_ + ".snapshot";
-  const std::string temp_path = snap_path + ".tmp";
-  const int fd = ::open(temp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return Status::IOError("open snapshot temp: " + Errno());
-  const uint8_t* p = out.data();
-  size_t remaining = out.size();
-  while (remaining > 0) {
-    const ssize_t n = ::write(fd, p, remaining);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return Status::IOError("write snapshot: " + Errno());
-    }
-    p += n;
-    remaining -= static_cast<size_t>(n);
-  }
-  ::fsync(fd);
-  ::close(fd);
-  if (::rename(temp_path.c_str(), snap_path.c_str()) != 0) {
-    return Status::IOError("rename snapshot: " + Errno());
-  }
-
-  // Truncate the WAL: its contents are folded into the snapshot.
-  if (wal_fd_ >= 0) {
-    if (::ftruncate(wal_fd_, 0) != 0) {
-      return Status::IOError("truncate WAL: " + Errno());
-    }
-    wal_bytes_ = 0;
-    wal_synced_bytes_ = 0;
-  }
-  return Status::OK();
+  DSTORE_RETURN_IF_ERROR(
+      PublishFile(snap_path + ".tmp", snap_path, out, "sql.snapshot"));
+  wal_generation_ = generation;
+  return wal_->Reset();
 }
 
 Status Database::Checkpoint() {
@@ -1059,7 +992,7 @@ bool Database::in_transaction() const {
 
 size_t Database::WalBytes() const {
   MutexLock lock(mu_);
-  return wal_bytes_;
+  return wal_ == nullptr ? 0 : wal_->bytes();
 }
 
 }  // namespace dstore::sql

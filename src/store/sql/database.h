@@ -11,6 +11,7 @@
 #include "common/bytes.h"
 #include "common/status.h"
 #include "common/sync.h"
+#include "store/fs_util.h"
 #include "store/sql/ast.h"
 #include "store/sql/value.h"
 
@@ -55,8 +56,6 @@ class Database {
     return Open(path, Options());
   }
 
-  ~Database();
-
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
 
@@ -67,7 +66,8 @@ class Database {
   // SQL server's key-value bridge; skips SQL text parsing).
   StatusOr<ResultSet> ExecuteStatement(const Statement& statement);
 
-  // Folds the current state into the snapshot file and truncates the WAL.
+  // Folds the current state into the snapshot file (published through
+  // PublishFile, crash-point site "sql.snapshot") and resets the WAL.
   Status Checkpoint();
 
   // Introspection.
@@ -112,23 +112,23 @@ class Database {
   void SnapshotTableForTxn(const std::string& name) REQUIRES(mu_);
 
   // --- durability ---
-  Status AppendWal(std::string_view sql) REQUIRES(mu_);
-  Status FlushWal(bool sync) REQUIRES(mu_);
-  // LoadSnapshot and ReplayWal lock internally (they run statement-sized
-  // critical sections, not one long hold) and are only called from Open,
-  // before the database is shared.
+  // Appends one commit's records to the WAL in one write, and fsyncs them
+  // when sync_commits is on.
+  Status LogCommit(std::vector<Bytes> records) REQUIRES(mu_);
+  // LoadSnapshot and ReplayWal lock internally and are only called from
+  // Open, before the database is shared. ReplayWal returns the WAL offset
+  // to keep: the end of its last committed record.
   Status LoadSnapshot() EXCLUDES(mu_);
-  Status ReplayWal() EXCLUDES(mu_);
+  StatusOr<uint64_t> ReplayWal() EXCLUDES(mu_);
   Status WriteSnapshotLocked() REQUIRES(mu_);
 
   Options options_;
   std::string path_;  // empty = in-memory only
-  int wal_fd_ GUARDED_BY(mu_) = -1;
-  size_t wal_bytes_ GUARDED_BY(mu_) = 0;
-  // WAL bytes known to have reached disk (watermark advanced after each
-  // successful fsync). The sql.wal.before_fsync crash point truncates back
-  // to this mark, modelling the loss of unsynced page-cache data.
-  size_t wal_synced_bytes_ GUARDED_BY(mu_) = 0;
+  // Appends to "<path>.wal" (crash-point site "sql.wal"); null in memory.
+  std::unique_ptr<WalWriter> wal_ GUARDED_BY(mu_);
+  // The WAL generation that continues the snapshot: bumped by each
+  // checkpoint, written in the snapshot and in the WAL's header record.
+  uint64_t wal_generation_ GUARDED_BY(mu_) = 0;
 
   mutable Mutex mu_;
   std::map<std::string, Table> tables_ GUARDED_BY(mu_);

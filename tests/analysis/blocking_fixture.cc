@@ -13,7 +13,7 @@
 namespace dstore {
 namespace analysis_fixture {
 
-// A stand-in for fsync/WriteFileDurably: annotated blocking, does nothing.
+// A stand-in for fsync/PublishFile: annotated blocking, does nothing.
 void PretendFsync() DSTORE_BLOCKING;
 void PretendFsync() {}
 

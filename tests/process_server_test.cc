@@ -14,7 +14,10 @@
 
 #include <gtest/gtest.h>
 
+#include "cache/lru_cache.h"
+#include "dscl/cache_persistence.h"
 #include "store/cloud_client.h"
+#include "store/file_store.h"
 #include "store/remote_cache.h"
 
 namespace dstore {
@@ -149,15 +152,34 @@ TEST(ProcessServerTest, CacheServerWarmRestart) {
     // SIGTERM: the server saves warm state on the way down.
   }
 
-  ChildServer restarted(DSTORE_CACHE_SERVER_PATH,
-                        {"--port=0", "--warm-file=" + warm_file});
-  ASSERT_TRUE(restarted.ok());
-  auto conn = RemoteCacheConnection::Connect("127.0.0.1", restarted.port());
-  ASSERT_TRUE(conn.ok());
-  RemoteCacheStore store(*conn);
-  auto got = store.GetString("persisted");
-  ASSERT_TRUE(got.ok()) << "warm state was not restored";
-  EXPECT_EQ(*got, "through restart");
+  {
+    ChildServer restarted(DSTORE_CACHE_SERVER_PATH,
+                          {"--port=0", "--warm-file=" + warm_file});
+    ASSERT_TRUE(restarted.ok());
+    auto conn = RemoteCacheConnection::Connect("127.0.0.1", restarted.port());
+    ASSERT_TRUE(conn.ok());
+    RemoteCacheStore store(*conn);
+    auto got = store.GetString("persisted");
+    ASSERT_TRUE(got.ok()) << "warm state was not restored";
+    EXPECT_EQ(*got, "through restart");
+    ASSERT_TRUE(store.PutString("second", "life").ok());
+    // SIGTERM again: this save must carry both keys.
+  }
+
+  // The child has exited, so its save is complete: load the warm file the
+  // way the server does and check both keys made it.
+  auto warm_store = FileStore::Open(dir);
+  ASSERT_TRUE(warm_store.ok());
+  LruCache cache(1u << 20);
+  auto loaded = LoadCacheFromStore(&cache, warm_store->get(), "warm.snapshot");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(*loaded, 2u);
+  auto persisted = cache.Get("persisted");
+  ASSERT_TRUE(persisted.ok());
+  EXPECT_EQ(ToString(**persisted), "through restart");
+  auto second = cache.Get("second");
+  ASSERT_TRUE(second.ok()) << "the restarted server's save lost a key";
+  EXPECT_EQ(ToString(**second), "life");
 
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);

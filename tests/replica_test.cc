@@ -228,8 +228,8 @@ TEST(ReplicaLogTest, CrashPointsModelDurabilityBoundaries) {
     bool survives;  // is the appended entry on disk after "reboot"?
   } cases[] = {
       {"replica.log.torn_append", false},
-      {"replica.log.before_sync", false},
-      {"replica.log.after_sync", true},
+      {"replica.log.before_fsync", false},
+      {"replica.log.after_fsync", true},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.point);

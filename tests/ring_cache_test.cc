@@ -1,5 +1,7 @@
 #include "cache/ring_cache.h"
 
+#include <chrono>
+#include <future>
 #include <map>
 
 #include <gtest/gtest.h>
@@ -154,6 +156,56 @@ TEST(RingCacheTest, AggregatedStatsAndKeys) {
   auto keys = ring.Keys();
   ASSERT_TRUE(keys.ok());
   EXPECT_EQ(keys->size(), 30u);
+}
+
+// A node whose Get blocks until released: a stand-in for a stalled remote
+// cache node.
+class StallingCache : public LruCache {
+ public:
+  StallingCache() : LruCache(1u << 20), released_(release_.get_future()) {}
+
+  StatusOr<ValuePtr> Get(const std::string& key) override {
+    entered_.set_value();
+    released_.wait();
+    return LruCache::Get(key);
+  }
+
+  void WaitEntered() { entered_future_.wait(); }
+  void Release() { release_.set_value(); }
+
+ private:
+  std::promise<void> entered_;
+  std::future<void> entered_future_ = entered_.get_future();
+  std::promise<void> release_;
+  std::shared_future<void> released_;
+};
+
+TEST(RingCacheTest, StalledNodeDoesNotDelayOtherNodes) {
+  auto stalled = std::make_shared<StallingCache>();
+  std::vector<RingCache::Node> nodes;
+  nodes.push_back({"stalled", stalled});
+  nodes.push_back({"healthy", std::make_shared<LruCache>(1u << 20)});
+  RingCache ring(std::move(nodes));
+  std::string stalled_key;
+  std::string healthy_key;
+  for (int i = 0; stalled_key.empty() || healthy_key.empty(); ++i) {
+    const std::string key = "k" + std::to_string(i);
+    (ring.NodeFor(key) == "stalled" ? stalled_key : healthy_key) = key;
+  }
+  ASSERT_TRUE(ring.Put(healthy_key, MakeValue(std::string_view("v"))).ok());
+
+  auto blocked =
+      std::async(std::launch::async, [&] { return ring.Get(stalled_key); });
+  stalled->WaitEntered();
+  // The stalled node holds one Get; a Get routed elsewhere must finish.
+  auto healthy =
+      std::async(std::launch::async, [&] { return ring.Get(healthy_key); });
+  const bool finished = healthy.wait_for(std::chrono::seconds(5)) ==
+                        std::future_status::ready;
+  stalled->Release();
+  EXPECT_TRUE(finished) << "a stalled node delayed a get on another node";
+  EXPECT_TRUE(healthy.get().ok());
+  EXPECT_TRUE(blocked.get().status().IsNotFound());
 }
 
 }  // namespace

@@ -44,6 +44,14 @@ or a bare `// NOLINT` comment):
   doc-include       An `#include "..."` in README.md, DESIGN.md, or
                     docs/*.md that names no file under src/: a guide's
                     snippet must not outlive the header it shows.
+  raw-file-io       ::write / ::pwrite / ::fsync / ::fdatasync /
+                    ::ftruncate / ::truncate / ::rename or
+                    std::filesystem::rename in src/, outside
+                    src/store/fs_util.cc and src/net/ (sockets and
+                    eventfds). Durable files are written through
+                    PublishFile or WalWriter (store/fs_util.h), so each
+                    protocol has one implementation, one failure rule and
+                    one set of crash points.
 
 `--self-test` runs the embedded rule fixtures (each rule must fire on its
 positive snippet and stay quiet on its negative/suppressed one) and exits.
@@ -81,6 +89,15 @@ RAW_SLEEP_ALLOWED = {
 
 RAW_SLEEP_RE = re.compile(
     r"this_thread::sleep_(for|until)\b|(?<![\w.])(::)?u?sleep\s*\(")
+
+# Raw file writes, syncs and renames belong to the durable-file module; the
+# network layer writes sockets and eventfds with the same calls.
+RAW_FILE_IO_ALLOWED = os.path.join("src", "store", "fs_util.cc")
+RAW_FILE_IO_EXEMPT_DIR = os.path.join("src", "net") + os.sep
+
+RAW_FILE_IO_RE = re.compile(
+    r"(?<![\w>.])::(write|pwrite|fsync|fdatasync|ftruncate|truncate|rename)"
+    r"\s*\(|\bfilesystem::rename\s*\(")
 
 NAKED_NEW_RE = re.compile(r"(=|return)\s+new\b")
 SMART_WRAP_RE = re.compile(r"(unique_ptr|shared_ptr)\s*<")
@@ -198,6 +215,9 @@ def lint_text(rel, text, findings):
 
     raw_sync_ok = rel in RAW_SYNC_ALLOWED
     raw_sleep_ok = rel in RAW_SLEEP_ALLOWED
+    raw_file_io_checked = rel.startswith("src" + os.sep) and \
+        rel != RAW_FILE_IO_ALLOWED and \
+        not rel.startswith(RAW_FILE_IO_EXEMPT_DIR)
     depth = 0  # unbalanced-paren depth from preceding lines
     prev_continues = False  # previous line left a statement unfinished
     for i, raw in enumerate(lines, start=1):
@@ -225,6 +245,12 @@ def lint_text(rel, text, findings):
                     (rel, i, "raw-sleep: use Clock::SleepFor (annotated "
                      "DSTORE_BLOCKING, simulated-clock aware) instead of a "
                      "raw sleep"))
+
+        if raw_file_io_checked and RAW_FILE_IO_RE.search(line):
+            if not suppressed(raw, "raw-file-io"):
+                findings.append(
+                    (rel, i, "raw-file-io: write durable files through "
+                     "PublishFile or WalWriter (store/fs_util.h)"))
 
         if NAKED_NEW_RE.search(line) and not SMART_WRAP_RE.search(line) \
                 and "static" not in line:
@@ -319,6 +345,21 @@ SELF_TEST_FIXTURES = [
     ("fx_doc_ok.md",
      "```cpp\n#include \"store/key_value.h\"\n#include <vector>\n"
      "#include \"udsm/gone.h\"  // NOLINT(dstore-doc-include)\n```\n", []),
+    (os.path.join("src", "store", "fx_raw_file_io.cc"),
+     "void F(int fd) {\n  if (::fsync(fd) != 0) return;\n"
+     "  std::filesystem::rename(a, b, ec);\n"
+     "  n = ::write(fd, p, len);\n}\n",
+     ["raw-file-io", "raw-file-io", "raw-file-io"]),
+    (os.path.join("src", "net", "fx_socket.cc"),
+     "void F(int fd) { n = ::write(fd, p, len); }\n", []),
+    (os.path.join("src", "store", "fs_util.cc"),
+     "void F(int fd) { if (::fsync(fd) != 0) return; }\n", []),
+    (os.path.join("tests", "fx_raw_file_io.cc"),
+     "void F(int fd) { (void)::ftruncate(fd, 0); }\n", []),
+    (os.path.join("src", "store", "fx_raw_file_io_ok.cc"),
+     "void F(int fd) {\n"
+     "  (void)::ftruncate(fd, 0);  // NOLINT(dstore-raw-file-io)\n"
+     "  conn->write(buf);\n  Socket::write(buf);\n}\n", []),
     ("fx_discard_ok.cc",
      "void F() {\n  (void)store->Put(key, value);\n"
      "  if (!store->Put(key, value).ok()) return;\n}\n", []),
