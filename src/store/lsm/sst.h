@@ -9,6 +9,7 @@
 #include "cache/cache.h"
 #include "common/bytes.h"
 #include "common/status.h"
+#include "store/fs_util.h"
 #include "store/lsm/format.h"
 
 namespace dstore {
@@ -36,6 +37,8 @@ namespace lsm {
 //
 // Files are written to <number>.tmp, fsynced, renamed to <number>.sst, and
 // the directory is fsynced — only then may the manifest reference them.
+// Data blocks stream to the temp file as they are cut (FilePublisher), so
+// a build holds one block and one write stage in memory, not the file.
 // Crash points: lsm.sst.torn_write, lsm.sst.before_rename.
 
 inline constexpr uint64_t kSstMagic = 0x4c534d5f53535400ull;  // "LSM_SST\0"
@@ -75,7 +78,7 @@ class SstWriter {
 
   size_t entries() const { return num_entries_; }
 
-  // Bytes buffered so far; drives compaction's output-file rolling.
+  // Bytes added so far; drives compaction's output-file rolling.
   size_t ApproximateBytes() const { return file_.size() + block_.size(); }
 
   // Assembles index/filter/footer and atomically publishes the file
@@ -85,7 +88,6 @@ class SstWriter {
  private:
   void FinishBlock();
 
-  const std::filesystem::path dir_;
   const uint64_t number_;
   const SstOptions options_;
 
@@ -96,8 +98,8 @@ class SstWriter {
     uint32_t crc = 0;
   };
 
-  Bytes file_;   // completed data blocks
-  Bytes block_;  // block under construction
+  FilePublisher file_;  // completed blocks stream to the temp file
+  Bytes block_;         // block under construction
   std::string block_last_key_;
   std::vector<PendingIndex> index_;
   std::vector<uint64_t> key_hashes_;
